@@ -303,12 +303,13 @@ impl Layout {
         self.cmp_ids().map(|c| self.mem(c)).collect()
     }
 
-    /// Every token-holding / persistent-table node: caches plus memory
-    /// controllers.
-    pub fn all_coherence_nodes(&self) -> Vec<NodeId> {
-        let mut v = self.all_caches();
-        v.extend(self.all_mems());
-        v
+    /// Every token-holding / persistent-table node: the caches in
+    /// [`all_caches`](Self::all_caches) order, then the memory
+    /// controllers. Those units fill the id range after the sequencers,
+    /// in exactly that order, so persistent broadcasts walk it without
+    /// allocating.
+    pub fn all_coherence_nodes(&self) -> impl Iterator<Item = NodeId> + 'static {
+        (self.procs()..self.total_nodes()).map(NodeId)
     }
 }
 
@@ -337,7 +338,16 @@ mod tests {
         assert_eq!(l.l2_banks(), 16);
         assert_eq!(l.caches(), 48);
         assert_eq!(l.total_nodes(), 68);
-        assert_eq!(l.all_coherence_nodes().len(), 52);
+        assert_eq!(l.all_coherence_nodes().count(), 52);
+    }
+
+    #[test]
+    fn coherence_nodes_are_the_caches_then_the_memories() {
+        for l in [l(), Layout::new(8, 2, 3), Layout::new(64, 16, 16)] {
+            let mut expect = l.all_caches();
+            expect.extend(l.all_mems());
+            assert_eq!(l.all_coherence_nodes().collect::<Vec<_>>(), expect);
+        }
     }
 
     #[test]

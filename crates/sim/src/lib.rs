@@ -60,8 +60,8 @@ pub use kernel::{
     Transport,
 };
 pub use profile::{CatTotals, HostProfile, HostProfiler, ProfileEntry, ProfilerHandle};
-pub use queue::{EventKind, EventKindRef, EventQueue, PendingEvent, QueuedEvent};
+pub use queue::{EventKind, EventQueue, QueuedEvent};
 pub use rng::Rng;
-pub use sched::{HeapScheduler, Scheduler, SchedulerKind, WheelScheduler};
+pub use sched::SchedulerKind;
 pub use stats::{Ewma, Histogram, Stats};
 pub use time::{Dur, Time};

@@ -1,102 +1,35 @@
-//! Pluggable event-scheduler backends.
+//! The event-ordering contract and the scheduler's identity.
 //!
-//! The kernel's pending-event set is managed by a [`Scheduler`]: the
-//! reference [`HeapScheduler`] (a binary heap of boxed-enum events, the
-//! original implementation) and the fast [`WheelScheduler`] (a calendar
-//! timing wheel over compact fixed-size records with slab-pooled message
-//! payloads). Both implement the exact same contract:
+//! The kernel's pending events live in one binary min-heap
+//! ([`crate::queue::EventQueue`]). Its contract:
 //!
 //! > events leave in ascending `(time, seq)` order — earliest delivery
 //! > time first, FIFO by insertion sequence number among same-picosecond
 //! > ties — for **every** interleaving of inserts and removals.
 //!
-//! Because the sequence number is assigned by [`crate::queue::EventQueue`]
-//! before the backend ever sees the event, the pop order (and therefore
-//! every simulation result downstream) is bit-identical across backends;
-//! `tests/scheduler_equivalence.rs` and the differential property suite
-//! prove it. The backend is selected per kernel ([`SchedulerKind`]),
-//! defaulting to the wheel, with `TOKENCMP_SCHEDULER={heap,wheel}` as the
-//! process-wide override.
-//!
-//! # Wheel geometry
-//!
-//! The wheel has [`WheelScheduler::BUCKETS`] buckets of
-//! [`WheelScheduler::BUCKET_PS`] picoseconds each, covering a sliding
-//! window of [`WheelScheduler::HORIZON_PS`] (~1 µs) from the current
-//! cursor. An event inside the window lands in bucket
-//! `(t / BUCKET_PS) % BUCKETS` in O(1); an event at or beyond the horizon
-//! goes to a deterministic overflow min-heap keyed by `(time, seq)`.
-//! When the wheel drains, the window jumps forward to the overflow
-//! minimum and the in-window prefix of the overflow is redistributed into
-//! buckets, so arbitrarily far horizons cost one amortized heap pass.
-//! Within a bucket, events are stored as parallel arrays — a 16-byte
-//! `(time, seq)` key array and a fixed-size body array holding
-//! destination, source and the wake tag or payload-slab slot — kept in
-//! lockstep as one binary min-heap over the key array, so the bucket
-//! minimum is `keys[0]`, heap sifts compare only dense keys, and the
-//! dispatch loop stays in L1 and never chases a pointer. Message
-//! payloads live in a free-listed slab and are moved exactly twice: in
-//! at insert, out at remove. The scheduler-wide minimum is additionally
-//! memoized ([`Cell`]-cached) because the kernel peeks `next_time`
-//! before every pop.
+//! The sequence number is assigned by the queue on every push, so the
+//! pop order (and therefore every simulation result downstream) is a
+//! pure function of the push sequence. `tests/scheduler_prop.rs` checks
+//! the queue against a sorted-`Vec` reference model. DESIGN.md §14
+//! records why a single heap, and no faster-looking alternative, backs
+//! the queue.
 
-use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::OnceLock;
-
-use crate::kernel::NodeId;
-use crate::queue::{EventKind, EventKindRef, PendingEvent, QueuedEvent};
-use crate::time::Time;
-
-/// Which scheduler backend a kernel uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+/// The scheduler a kernel runs on. There is one: the binary heap. The
+/// name is kept so run headers and `tokencmp-timeseries-v1` series can
+/// label the engine they were produced on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Default)]
 pub enum SchedulerKind {
-    /// The reference binary-heap scheduler ([`HeapScheduler`]).
+    /// The binary-heap event queue.
+    #[default]
     Heap,
-    /// The calendar timing wheel ([`WheelScheduler`]).
-    Wheel,
 }
 
 impl SchedulerKind {
-    /// Both backends, heap (the reference) first — differential suites
-    /// iterate this so a third backend cannot silently skip them.
-    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Wheel];
-
-    /// The default backend when `TOKENCMP_SCHEDULER` is unset.
-    pub const DEFAULT: SchedulerKind = SchedulerKind::Wheel;
-
-    /// The knob value naming this backend.
+    /// The label naming this scheduler in reports.
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
         }
-    }
-
-    /// Parses a `TOKENCMP_SCHEDULER` value (case-insensitive).
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" => Some(SchedulerKind::Heap),
-            "wheel" => Some(SchedulerKind::Wheel),
-            _ => None,
-        }
-    }
-
-    /// The process-wide backend choice: `TOKENCMP_SCHEDULER` if set (a
-    /// malformed value panics with the accepted spellings rather than
-    /// silently measuring the wrong backend), [`Self::DEFAULT`]
-    /// otherwise. Cached after the first read; tests that need a
-    /// specific backend pass it explicitly instead of mutating the
-    /// environment.
-    pub fn from_env() -> SchedulerKind {
-        static CHOICE: OnceLock<SchedulerKind> = OnceLock::new();
-        *CHOICE.get_or_init(|| match std::env::var("TOKENCMP_SCHEDULER") {
-            Ok(v) => SchedulerKind::parse(&v).unwrap_or_else(|| {
-                panic!("TOKENCMP_SCHEDULER: `{v}` is not a scheduler; want `heap` or `wheel`")
-            }),
-            Err(_) => SchedulerKind::DEFAULT,
-        })
     }
 }
 
@@ -106,775 +39,59 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
-/// The backend contract behind [`crate::queue::EventQueue`].
-///
-/// Sequence numbers are assigned by the queue (strictly increasing per
-/// insert) and define FIFO order among same-time events; implementations
-/// must return events in ascending `(time, seq)` order from
-/// [`remove_min`](Scheduler::remove_min) regardless of how inserts and
-/// removals interleave.
-pub trait Scheduler<M> {
-    /// Inserts an event carrying an externally assigned sequence number.
-    fn insert(&mut self, time: Time, seq: u64, dst: NodeId, kind: EventKind<M>);
-
-    /// Removes and returns the event with the smallest `(time, seq)`.
-    fn remove_min(&mut self) -> Option<QueuedEvent<M>>;
-
-    /// Delivery time of the earliest pending event.
-    fn next_time(&self) -> Option<Time>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends every pending event to `out`, in unspecified order (the
-    /// queue sorts the census; see [`crate::queue::EventQueue::census`]).
-    fn collect_pending<'a>(&'a self, out: &mut Vec<PendingEvent<'a, M>>);
-}
-
-// ---- reference backend: binary heap ----------------------------------------------
-
-/// The reference scheduler: a `BinaryHeap` of owned events ordered by
-/// reversed `(time, seq)`. O(log n) per operation, allocation per
-/// message hop — kept as the semantic baseline the wheel is verified
-/// against, and selectable via `TOKENCMP_SCHEDULER=heap`.
-#[derive(Debug)]
-pub struct HeapScheduler<M> {
-    heap: BinaryHeap<QueuedEvent<M>>,
-}
-
-impl<M> Default for HeapScheduler<M> {
-    fn default() -> Self {
-        HeapScheduler {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<M> Scheduler<M> for HeapScheduler<M> {
-    fn insert(&mut self, time: Time, seq: u64, dst: NodeId, kind: EventKind<M>) {
-        self.heap.push(QueuedEvent {
-            time,
-            dst,
-            kind,
-            seq,
-        });
-    }
-
-    fn remove_min(&mut self) -> Option<QueuedEvent<M>> {
-        self.heap.pop()
-    }
-
-    fn next_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn collect_pending<'a>(&'a self, out: &mut Vec<PendingEvent<'a, M>>) {
-        out.extend(self.heap.iter().map(PendingEvent::of));
-    }
-}
-
-// ---- fast backend: calendar timing wheel -----------------------------------------
-
-/// A compact event body: everything but the `(time, seq)` sort key.
-/// `arg` is the wake tag for wakeups and the payload-slab slot for
-/// messages; `src` is meaningful for messages only.
-#[derive(Debug, Clone, Copy)]
-struct EvBody {
-    dst: u32,
-    src: u32,
-    arg: u64,
-    is_msg: bool,
-}
-
-/// One wheel bucket: structure-of-arrays event storage. `keys[i]` and
-/// `body[i]` describe the same event; both arrays are kept in lockstep
-/// as one binary min-heap ordered by the 16-byte key, so the bucket
-/// minimum is `keys[0]` with no scan, and heap sifting compares only
-/// the dense key array. An unsorted bucket with a linear min-scan looks
-/// cheaper but degrades to O(k²) when a broadcast fans out tens of
-/// same-tick messages into one bucket — the common case in coherence
-/// runs.
-#[derive(Debug)]
-struct Bucket {
-    keys: Vec<(u64, u64)>,
-    body: Vec<EvBody>,
-}
-
-impl Bucket {
-    const fn new() -> Bucket {
-        Bucket {
-            keys: Vec::new(),
-            body: Vec::new(),
-        }
-    }
-
-    /// Pushes an event and restores the heap invariant. A same-tick
-    /// burst arrives with ascending `seq`, so its sift-up terminates on
-    /// the first comparison and the push is O(1) in that common case.
-    fn push(&mut self, key: (u64, u64), body: EvBody) {
-        self.keys.push(key);
-        self.body.push(body);
-        let mut i = self.keys.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.keys[i] >= self.keys[parent] {
-                break;
-            }
-            self.keys.swap(i, parent);
-            self.body.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    /// Removes and returns the bucket minimum (`keys[0]`).
-    fn pop(&mut self) -> ((u64, u64), EvBody) {
-        let key = self.keys.swap_remove(0);
-        let body = self.body.swap_remove(0);
-        let n = self.keys.len();
-        let mut i = 0;
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < n && self.keys[right] < self.keys[left] {
-                right
-            } else {
-                left
-            };
-            if self.keys[child] >= self.keys[i] {
-                break;
-            }
-            self.keys.swap(i, child);
-            self.body.swap(i, child);
-            i = child;
-        }
-        (key, body)
-    }
-}
-
-/// Occupancy-bitmap words; one bit per wheel bucket. Kept as a plain
-/// module const because array lengths cannot mention the generic
-/// scheduler's associated consts.
-const OCC_WORDS: usize = 1024 / 64;
-
-/// Where the scheduler's current minimum event lives (see
-/// [`WheelScheduler::min_entry`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MinLoc {
-    /// At the root of the given bucket's in-bucket heap.
-    Bucket(usize),
-    /// At the head of the far-horizon overflow heap.
-    Overflow,
-}
-
-/// A memoized minimum: the `(time, seq)` key and where it is parked.
-type MinEntry = (u64, u64, MinLoc);
-
-/// An event parked beyond the wheel horizon. Field order gives the
-/// derived `Ord` the `(time, seq)` key; `seq` uniqueness makes the order
-/// total, so the overflow heap is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct OverflowRec {
-    time: u64,
-    seq: u64,
-    dst: u32,
-    src: u32,
-    arg: u64,
-    is_msg: bool,
-}
-
-/// The calendar-wheel scheduler. See the [module docs](self) for the
-/// geometry and the determinism argument.
-#[derive(Debug)]
-pub struct WheelScheduler<M> {
-    buckets: Vec<Bucket>,
-    /// One occupancy bit per bucket; `u64::trailing_zeros` finds the
-    /// next live bucket without walking empties.
-    occ: [u64; OCC_WORDS],
-    /// Start of the wheel window, always a multiple of
-    /// [`Self::BUCKET_PS`]; the cursor bucket is `win_start / BUCKET_PS
-    /// % BUCKETS`. Monotonically non-decreasing.
-    win_start: u64,
-    /// Events currently in buckets (excludes the overflow heap).
-    wheel_live: usize,
-    overflow: BinaryHeap<Reverse<OverflowRec>>,
-    /// Message-payload slab; `free` lists vacant slots for reuse.
-    slots: Vec<Option<M>>,
-    free: Vec<u32>,
-    /// Memoized current minimum (`None` = unknown, recompute on
-    /// demand). The kernel run loop peeks `next_time` before every pop;
-    /// without this the wheel would pay its bitmap-and-bucket scan
-    /// twice per event where the heap pays an O(1) peek.
-    min_cache: Cell<Option<MinEntry>>,
-}
-
-impl<M> Default for WheelScheduler<M> {
-    fn default() -> Self {
-        WheelScheduler {
-            buckets: (0..Self::BUCKETS).map(|_| Bucket::new()).collect(),
-            occ: [0; OCC_WORDS],
-            win_start: 0,
-            wheel_live: 0,
-            overflow: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            min_cache: Cell::new(None),
-        }
-    }
-}
-
-impl<M> WheelScheduler<M> {
-    /// Bucket granularity in picoseconds (~1 ns). Finer events within
-    /// one bucket are ordered exactly by the in-bucket heap. Buckets
-    /// are deliberately narrow: the steady-state event stream is
-    /// network hops, cache lookups and memory responses in the
-    /// 0.5–150 ns range, and narrow buckets spread that traffic thin so
-    /// in-bucket heaps stay shallow. (Widening buckets to pull µs-scale
-    /// workload think times in-window was measured and rejected — it
-    /// packs the hot sub-bucket-width traffic into the cursor bucket
-    /// and loses more there than it saves on overflow, see
-    /// `crates/sim/examples/sched_regimes.rs`.)
-    pub const BUCKET_PS: u64 = 1 << Self::BUCKET_BITS;
-    /// Number of buckets (one lap of the wheel).
-    pub const BUCKETS: usize = 1024;
-    /// The wheel window: events this far ahead of the cursor overflow
-    /// to the far-horizon heap (~1 µs). Sparse long-delay events —
-    /// workload think times, the starvation watchdog — wait there as
-    /// compact records and pop directly off the overflow head when
-    /// their time comes (the min competition below), so they never
-    /// churn through buckets at all.
-    pub const HORIZON_PS: u64 = (Self::BUCKETS as u64) << Self::BUCKET_BITS;
-
-    const BUCKET_BITS: u32 = 10;
-
-    #[inline]
-    fn bucket_of(t: u64) -> usize {
-        ((t >> Self::BUCKET_BITS) as usize) & (Self::BUCKETS - 1)
-    }
-
-    #[inline]
-    fn cursor(&self) -> usize {
-        Self::bucket_of(self.win_start)
-    }
-
-    fn alloc_slot(&mut self, msg: M) -> u64 {
-        let slot = match self.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
-        self.slots[slot] = Some(msg);
-        slot as u64
-    }
-
-    fn park(&mut self, time: u64, seq: u64, body: EvBody) {
-        // In-window events (including "past" events below the cursor,
-        // which only adversarial schedules produce — the kernel never
-        // delivers into the past) go to a bucket; the rest overflow.
-        let loc = if time < self.win_start {
-            // Clamp to the cursor bucket: it is scanned first and the
-            // scan orders by full `(time, seq)` key, so an event earlier
-            // than everything else still leaves first.
-            Some(self.cursor())
-        } else if time - self.win_start < Self::HORIZON_PS {
-            Some(Self::bucket_of(time))
-        } else {
-            None
-        };
-        let loc = match loc {
-            Some(idx) => {
-                self.buckets[idx].push((time, seq), body);
-                self.occ[idx / 64] |= 1 << (idx % 64);
-                self.wheel_live += 1;
-                MinLoc::Bucket(idx)
-            }
-            None => {
-                self.overflow.push(Reverse(OverflowRec {
-                    time,
-                    seq,
-                    dst: body.dst,
-                    src: body.src,
-                    arg: body.arg,
-                    is_msg: body.is_msg,
-                }));
-                MinLoc::Overflow
-            }
-        };
-        // Inserting can only lower a known minimum; an unknown one
-        // (`None`) stays unknown until the next `min_entry` scan.
-        if let Some((t, s, _)) = self.min_cache.get() {
-            if (time, seq) < (t, s) {
-                self.min_cache.set(Some((time, seq, loc)));
-            }
-        }
-    }
-
-    /// The global minimum — key and location — memoized until the next
-    /// structural change. `None` means the scheduler is empty.
-    fn min_entry(&self) -> Option<MinEntry> {
-        if let Some(m) = self.min_cache.get() {
-            return Some(m);
-        }
-        let wheel = if self.wheel_live == 0 {
-            None
-        } else {
-            let idx = self
-                .first_occupied_from(self.cursor())
-                .expect("wheel_live > 0");
-            let (t, s) = self.buckets[idx].keys[0];
-            Some((t, s, MinLoc::Bucket(idx)))
-        };
-        // The window's forward march can bring an overflow event inside
-        // it while the wheel still holds a later event, so the overflow
-        // min competes for every observation on the full `(time, seq)`
-        // key.
-        let over = self
-            .overflow
-            .peek()
-            .map(|&Reverse(r)| (r.time, r.seq, MinLoc::Overflow));
-        let min = match (wheel, over) {
-            (Some(a), Some(b)) => Some(if (a.0, a.1) <= (b.0, b.1) { a } else { b }),
-            (a, b) => a.or(b),
-        };
-        self.min_cache.set(min);
-        min
-    }
-
-    /// The first occupied bucket at or (circularly) after `start`, or
-    /// `None` if the wheel is empty.
-    fn first_occupied_from(&self, start: usize) -> Option<usize> {
-        let words = self.occ.len();
-        let mut w = start / 64;
-        // Mask off bits below `start` in its word; after a full cycle the
-        // word is revisited unmasked, covering the circular wrap.
-        let mut word = self.occ[w] & (!0u64 << (start % 64));
-        for _ in 0..=words {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-            w = (w + 1) % words;
-            word = self.occ[w];
-        }
-        None
-    }
-
-    /// Moves the in-window prefix of the overflow heap into buckets
-    /// after jumping the window to the overflow minimum. Called only
-    /// with an empty wheel.
-    fn refill_from_overflow(&mut self) {
-        debug_assert_eq!(self.wheel_live, 0);
-        // Redistribution moves events between overflow and buckets, so
-        // any cached location is stale.
-        self.min_cache.set(None);
-        let Some(Reverse(min)) = self.overflow.peek() else {
-            return;
-        };
-        // Quantize the window start down to a bucket boundary so bucket
-        // mapping stays consistent; never moves the window backwards.
-        self.win_start = self.win_start.max(min.time & !(Self::BUCKET_PS - 1));
-        while let Some(Reverse(r)) = self.overflow.peek() {
-            // saturating: the window may already sit past an overflow
-            // event's time (it advances with the cursor while events
-            // linger in the far heap) — such events are in-window too.
-            if r.time.saturating_sub(self.win_start) >= Self::HORIZON_PS {
-                break;
-            }
-            let Reverse(r) = self.overflow.pop().expect("peeked");
-            let idx = if r.time < self.win_start {
-                self.cursor() // same clamp as `park`
-            } else {
-                Self::bucket_of(r.time)
-            };
-            self.buckets[idx].push(
-                (r.time, r.seq),
-                EvBody {
-                    dst: r.dst,
-                    src: r.src,
-                    arg: r.arg,
-                    is_msg: r.is_msg,
-                },
-            );
-            self.occ[idx / 64] |= 1 << (idx % 64);
-            self.wheel_live += 1;
-        }
-    }
-
-    /// Rehydrates a compact record into an owned event, reclaiming the
-    /// payload slab slot for messages.
-    fn materialize(&mut self, r: OverflowRec) -> QueuedEvent<M> {
-        let kind = if r.is_msg {
-            let slot = r.arg as usize;
-            let msg = self.slots[slot].take().expect("live payload slot");
-            self.free.push(slot as u32);
-            EventKind::Msg {
-                src: NodeId(r.src),
-                msg,
-            }
-        } else {
-            EventKind::Wake { tag: r.arg }
-        };
-        QueuedEvent {
-            time: Time::from_ps(r.time),
-            dst: NodeId(r.dst),
-            kind,
-            seq: r.seq,
-        }
-    }
-}
-
-impl<M> Scheduler<M> for WheelScheduler<M> {
-    fn insert(&mut self, time: Time, seq: u64, dst: NodeId, kind: EventKind<M>) {
-        let body = match kind {
-            EventKind::Wake { tag } => EvBody {
-                dst: dst.0,
-                src: 0,
-                arg: tag,
-                is_msg: false,
-            },
-            EventKind::Msg { src, msg } => {
-                let slot = self.alloc_slot(msg);
-                EvBody {
-                    dst: dst.0,
-                    src: src.0,
-                    arg: slot,
-                    is_msg: true,
-                }
-            }
-        };
-        self.park(time.as_ps(), seq, body);
-    }
-
-    fn remove_min(&mut self) -> Option<QueuedEvent<M>> {
-        if self.wheel_live == 0 {
-            // Re-anchor the window on the overflow minimum before
-            // popping, otherwise a long beyond-horizon phase would pin
-            // the window in the past and degrade the wheel into a
-            // slower heap. (Invalidates the cache.)
-            self.refill_from_overflow();
-        }
-        let (_, _, loc) = self.min_entry()?;
-        self.min_cache.set(None);
-        match loc {
-            MinLoc::Overflow => {
-                let Reverse(r) = self.overflow.pop().expect("cached overflow head");
-                Some(self.materialize(r))
-            }
-            MinLoc::Bucket(idx) => {
-                // Advance the window with the cursor (skipped buckets
-                // are empty, so every remaining wheel event stays
-                // inside the new window).
-                let cur = self.cursor();
-                let steps = (idx + Self::BUCKETS - cur) % Self::BUCKETS;
-                self.win_start += (steps as u64) << Self::BUCKET_BITS;
-                let bucket = &mut self.buckets[idx];
-                let ((t, seq), body) = bucket.pop();
-                if bucket.keys.is_empty() {
-                    self.occ[idx / 64] &= !(1 << (idx % 64));
-                }
-                self.wheel_live -= 1;
-                Some(self.materialize(OverflowRec {
-                    time: t,
-                    seq,
-                    dst: body.dst,
-                    src: body.src,
-                    arg: body.arg,
-                    is_msg: body.is_msg,
-                }))
-            }
-        }
-    }
-
-    fn next_time(&self) -> Option<Time> {
-        self.min_entry().map(|(t, _, _)| Time::from_ps(t))
-    }
-
-    fn len(&self) -> usize {
-        self.wheel_live + self.overflow.len()
-    }
-
-    fn collect_pending<'a>(&'a self, out: &mut Vec<PendingEvent<'a, M>>) {
-        let view = |time: u64, seq: u64, body: &EvBody| PendingEvent {
-            time: Time::from_ps(time),
-            seq,
-            dst: NodeId(body.dst),
-            kind: if body.is_msg {
-                EventKindRef::Msg {
-                    src: NodeId(body.src),
-                    msg: self.slots[body.arg as usize]
-                        .as_ref()
-                        .expect("live payload slot"),
-                }
-            } else {
-                EventKindRef::Wake { tag: body.arg }
-            },
-        };
-        // Walk the occupancy bitmap, not the bucket array: the sampler
-        // takes this census every sample period, and a few live events
-        // must not cost a 1024-bucket scan.
-        for (w, &word) in self.occ.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let bucket = &self.buckets[w * 64 + bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-                for (&(t, s), body) in bucket.keys.iter().zip(&bucket.body) {
-                    out.push(view(t, s, body));
-                }
-            }
-        }
-        for Reverse(r) in self.overflow.iter() {
-            out.push(view(
-                r.time,
-                r.seq,
-                &EvBody {
-                    dst: r.dst,
-                    src: r.src,
-                    arg: r.arg,
-                    is_msg: r.is_msg,
-                },
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::kernel::NodeId;
+    use crate::queue::{EventKind, EventQueue};
+    use crate::time::Time;
 
-    type W = WheelScheduler<u32>;
-
-    fn drain_tags(s: &mut impl Scheduler<u32>) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| s.remove_min())
-            .map(|e| {
-                let tag = match e.kind {
-                    EventKind::Wake { tag } => tag,
-                    EventKind::Msg { msg, .. } => msg as u64,
-                };
-                (e.time.as_ps(), tag)
-            })
+    /// Pops everything, as `(time in ps, seq)`.
+    fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.as_ps(), e.seq()))
             .collect()
     }
 
-    #[test]
-    fn kind_parses_and_displays() {
-        assert_eq!(SchedulerKind::parse("heap"), Some(SchedulerKind::Heap));
-        assert_eq!(SchedulerKind::parse(" WHEEL "), Some(SchedulerKind::Wheel));
-        assert_eq!(SchedulerKind::parse("calendar"), None);
-        assert_eq!(SchedulerKind::Wheel.to_string(), "wheel");
-        assert_eq!(SchedulerKind::DEFAULT, SchedulerKind::Wheel);
-    }
-
-    #[test]
-    fn wheel_pops_global_order_across_the_horizon_boundary() {
-        let mut w = W::default();
-        // One event per interesting offset: inside the window, exactly at
-        // the horizon (first overflow time), just beyond, and multiple
-        // laps out.
-        let times = [
-            1u64,
-            W::HORIZON_PS - 1,
-            W::HORIZON_PS,
-            W::HORIZON_PS + 1,
-            3 * W::HORIZON_PS + 17,
-        ];
-        for (i, &t) in times.iter().enumerate().rev() {
-            w.insert(
-                Time::from_ps(t),
-                i as u64,
-                NodeId(0),
-                EventKind::Wake { tag: i as u64 },
-            );
-        }
-        assert_eq!(w.len(), times.len());
-        let popped = drain_tags(&mut w);
-        let expect: Vec<(u64, u64)> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u64))
-            .collect();
-        assert_eq!(popped, expect);
-        assert!(w.is_empty());
+    fn wake_at(q: &mut EventQueue<u32>, ps: u64) {
+        q.push(Time::from_ps(ps), NodeId(0), EventKind::Wake { tag: 0 });
     }
 
     #[test]
     fn same_tick_ties_leave_in_seq_order() {
-        let mut w = W::default();
-        let t = Time::from_ps(4096);
-        for seq in 0..64u64 {
-            w.insert(t, seq, NodeId(0), EventKind::Wake { tag: seq });
+        let mut q = EventQueue::new();
+        for _ in 0..64 {
+            wake_at(&mut q, 4096);
         }
-        let popped = drain_tags(&mut w);
-        assert_eq!(popped, (0..64).map(|s| (4096, s)).collect::<Vec<_>>());
+        assert_eq!(
+            drain(&mut q),
+            (0..64).map(|s| (4096, s)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn past_insert_after_cursor_advance_still_pops_first() {
-        let mut w = W::default();
-        w.insert(
-            Time::from_ps(10_000),
-            0,
-            NodeId(0),
-            EventKind::Wake { tag: 0 },
-        );
-        w.insert(
-            Time::from_ps(20_000),
-            1,
-            NodeId(0),
-            EventKind::Wake { tag: 1 },
-        );
-        // Advance the cursor to the 10 ns bucket.
-        assert_eq!(w.remove_min().unwrap().time, Time::from_ps(10_000));
-        // An adversarial "past" insert (earlier than everything pending).
-        w.insert(Time::from_ps(5), 2, NodeId(0), EventKind::Wake { tag: 2 });
-        assert_eq!(w.next_time(), Some(Time::from_ps(5)));
-        assert_eq!(drain_tags(&mut w), vec![(5, 2), (20_000, 1)]);
-    }
-
-    #[test]
-    fn overflow_refill_is_ordered_across_many_laps() {
-        let mut w = W::default();
-        // Far-future events scattered over dozens of laps, inserted in a
-        // scrambled deterministic order.
-        let mut times: Vec<u64> = (0..200u64)
-            .map(|i| (i * 37 % 200) * W::HORIZON_PS / 3 + i)
-            .collect();
-        for (seq, &t) in times.iter().enumerate() {
-            w.insert(
-                Time::from_ps(t),
-                seq as u64,
-                NodeId(0),
-                EventKind::Wake { tag: seq as u64 },
-            );
-        }
-        let got: Vec<u64> = drain_tags(&mut w).iter().map(|&(t, _)| t).collect();
-        times.sort_unstable();
-        assert_eq!(got, times);
-    }
-
-    #[test]
-    fn overflow_min_competes_once_the_window_advances() {
-        // Regression: pop a late-window event so the window's forward
-        // march swallows the overflow min's time, then add a wheel event
-        // *later* than that overflow event. The overflow min must win
-        // both next_time and the next pop.
-        let mut w = W::default();
-        let near_end = W::HORIZON_PS - 1;
-        let just_over = W::HORIZON_PS + 2;
-        let in_new_window = W::HORIZON_PS + 1023;
-        w.insert(
-            Time::from_ps(near_end),
-            0,
-            NodeId(0),
-            EventKind::Wake { tag: 0 },
-        );
-        w.insert(
-            Time::from_ps(just_over),
-            1,
-            NodeId(0),
-            EventKind::Wake { tag: 1 },
-        );
-        assert_eq!(w.remove_min().unwrap().time.as_ps(), near_end);
-        w.insert(
-            Time::from_ps(in_new_window),
-            2,
-            NodeId(0),
-            EventKind::Wake { tag: 2 },
-        );
-        assert_eq!(w.next_time(), Some(Time::from_ps(just_over)));
-        assert_eq!(drain_tags(&mut w), vec![(just_over, 1), (in_new_window, 2)]);
+        let mut q = EventQueue::new();
+        wake_at(&mut q, 10_000);
+        wake_at(&mut q, 20_000);
+        assert_eq!(q.pop().unwrap().time, Time::from_ps(10_000));
+        // An adversarial "past" insert (earlier than everything pending,
+        // and earlier than the event just popped).
+        wake_at(&mut q, 5);
+        assert_eq!(q.next_time(), Some(Time::from_ps(5)));
+        assert_eq!(drain(&mut q), vec![(5, 2), (20_000, 1)]);
     }
 
     #[test]
     fn time_max_adjacent_events_terminate() {
-        let mut w = W::default();
-        for (seq, t) in [u64::MAX, u64::MAX - 1, u64::MAX - W::HORIZON_PS]
-            .into_iter()
-            .enumerate()
-        {
-            w.insert(
-                Time::from_ps(t),
-                seq as u64,
-                NodeId(0),
-                EventKind::Wake { tag: seq as u64 },
-            );
+        let mut q = EventQueue::new();
+        for t in [u64::MAX, u64::MAX - 1, u64::MAX - 1_000_000] {
+            wake_at(&mut q, t);
         }
-        assert_eq!(w.next_time(), Some(Time::from_ps(u64::MAX - W::HORIZON_PS)));
-        let got = drain_tags(&mut w);
+        assert_eq!(q.next_time(), Some(Time::from_ps(u64::MAX - 1_000_000)));
         assert_eq!(
-            got,
-            vec![
-                (u64::MAX - W::HORIZON_PS, 2),
-                (u64::MAX - 1, 1),
-                (u64::MAX, 0)
-            ]
+            drain(&mut q),
+            vec![(u64::MAX - 1_000_000, 2), (u64::MAX - 1, 1), (u64::MAX, 0)]
         );
-        assert_eq!(w.remove_min().map(|e| e.seq), None);
-    }
-
-    #[test]
-    fn message_payload_slots_are_reused() {
-        let mut w = W::default();
-        let mut seq = 0u64;
-        for round in 0..100u64 {
-            for i in 0..8u32 {
-                w.insert(
-                    Time::from_ps(round * 100),
-                    seq,
-                    NodeId(0),
-                    EventKind::Msg {
-                        src: NodeId(1),
-                        msg: i,
-                    },
-                );
-                seq += 1;
-            }
-            for _ in 0..8 {
-                assert!(matches!(
-                    w.remove_min().unwrap().kind,
-                    EventKind::Msg { .. }
-                ));
-            }
-        }
-        // The slab never grew past one round's worth of live payloads.
-        assert!(w.slots.len() <= 8, "slab grew to {}", w.slots.len());
-        assert_eq!(w.free.len(), w.slots.len());
-    }
-
-    #[test]
-    fn census_covers_wheel_and_overflow() {
-        let mut w = W::default();
-        w.insert(Time::from_ps(5), 0, NodeId(3), EventKind::Wake { tag: 9 });
-        w.insert(
-            Time::from_ps(10 * W::HORIZON_PS),
-            1,
-            NodeId(4),
-            EventKind::Msg {
-                src: NodeId(7),
-                msg: 42,
-            },
-        );
-        let mut out = Vec::new();
-        w.collect_pending(&mut out);
-        assert_eq!(out.len(), 2);
-        out.sort_by_key(|e| (e.time, e.seq));
-        assert!(matches!(out[0].kind, EventKindRef::Wake { tag: 9 }));
-        match out[1].kind {
-            EventKindRef::Msg { src, msg } => {
-                assert_eq!((src, *msg), (NodeId(7), 42));
-            }
-            _ => panic!("expected message"),
-        }
+        assert!(q.pop().is_none());
     }
 }

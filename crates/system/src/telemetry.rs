@@ -21,7 +21,7 @@ use tokencmp_core::{TokenL1, TokenL2, TokenMem, TokenMsg};
 use tokencmp_directory::{DirL1, DirL2, DirMsg};
 use tokencmp_net::{tier_between, FaultHandle, Tier};
 use tokencmp_proto::{Layout, NetMsg, SystemConfig};
-use tokencmp_sim::{Dur, EventKindRef, Kernel, KernelMonitor, Time};
+use tokencmp_sim::{Dur, EventKind, Kernel, KernelMonitor, Time};
 use tokencmp_trace::timeseries::keys;
 use tokencmp_trace::TimeSeries;
 
@@ -143,10 +143,10 @@ fn base_gauges<M: NetMsg + 'static>(
     // dominate the sample cost on deep queues.
     let mut combos: BTreeMap<(&'static str, &'static str), u64> = BTreeMap::new();
     for ev in kernel.pending_events_unordered() {
-        match ev.kind {
-            EventKindRef::Wake { .. } => wakes += 1,
-            EventKindRef::Msg { src, msg } => {
-                let tier = match layout.map(|l| tier_between(l, src, ev.dst)) {
+        match &ev.kind {
+            EventKind::Wake { .. } => wakes += 1,
+            EventKind::Msg { src, msg } => {
+                let tier = match layout.map(|l| tier_between(l, *src, ev.dst)) {
                     Some(Some(t)) => tier_key(t),
                     _ => "local",
                 };

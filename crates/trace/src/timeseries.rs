@@ -33,7 +33,7 @@ pub const TIMESERIES_SCHEMA: &str = "tokencmp-timeseries-v1";
 /// for a family (one key per tier, class, ...). The full registry with
 /// descriptions lives in the DESIGN.md counter appendix.
 pub mod keys {
-    /// Pending events in the active scheduler backend.
+    /// Pending events in the scheduler.
     pub const QUEUE_DEPTH: &str = "kernel.queue_depth";
     /// Pending wakeups (self-scheduled, not in-flight messages).
     pub const INFLIGHT_WAKES: &str = "inflight.wakes";
@@ -93,7 +93,8 @@ pub struct Sample {
 pub struct TimeSeries {
     /// Effective sample period, picoseconds (doubles on decimation).
     pub period_ps: u64,
-    /// Scheduler backend label the run executed on (`"heap"`/`"wheel"`).
+    /// Label of the scheduler the run executed on (always `"heap"`; kept
+    /// so `tokencmp-timeseries-v1` files round-trip losslessly).
     pub backend: String,
     /// Retained samples, oldest first.
     pub samples: Vec<Sample>,
@@ -237,7 +238,7 @@ mod tests {
 
     #[test]
     fn push_accumulates_on_the_period_grid() {
-        let mut ts = TimeSeries::new(Dur::from_ns(10), "wheel");
+        let mut ts = TimeSeries::new(Dur::from_ns(10), "heap");
         for i in 0..5u64 {
             ts.push(
                 Time::from_ns(10 * i),
@@ -269,7 +270,7 @@ mod tests {
     #[test]
     fn decimation_is_deterministic() {
         let build = || {
-            let mut ts = TimeSeries::new(Dur::from_ns(1), "wheel");
+            let mut ts = TimeSeries::new(Dur::from_ns(1), "heap");
             for i in 0..(TimeSeries::MAX_SAMPLES as u64 * 2 + 7) {
                 ts.push(Time::from_ns(i), g(&[("x", i * 3)]), BTreeMap::new());
             }
@@ -280,7 +281,7 @@ mod tests {
 
     #[test]
     fn downsample_halves_to_the_requested_bound() {
-        let mut ts = TimeSeries::new(Dur::from_ns(1), "wheel");
+        let mut ts = TimeSeries::new(Dur::from_ns(1), "heap");
         for i in 0..1000u64 {
             ts.push(Time::from_ns(i), g(&[("x", i)]), BTreeMap::new());
         }
@@ -314,7 +315,7 @@ mod tests {
 
     #[test]
     fn key_union_spans_all_samples() {
-        let mut ts = TimeSeries::new(Dur::from_ns(1), "wheel");
+        let mut ts = TimeSeries::new(Dur::from_ns(1), "heap");
         ts.push(Time::ZERO, g(&[("a", 1)]), BTreeMap::new());
         let mut rates = BTreeMap::new();
         rates.insert("b".to_string(), 1.0);

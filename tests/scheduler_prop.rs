@@ -1,29 +1,28 @@
-//! Differential property test for the scheduler backends.
+//! Property tests of the event queue's `(time, seq)` FIFO contract.
 //!
-//! The heap scheduler is the reference; the timing wheel must be
-//! observationally identical for *every* interleaving of pushes and pops
-//! — same pop sequence `(time, seq, dst, payload)`, same `next_time`,
-//! same `len` — not just for the schedules real protocols happen to
-//! produce. Random schedules here are built to stress the wheel's three
-//! interesting regimes: bursty same-tick ties (FIFO tie-break), events
-//! at and across the overflow horizon (bucket vs far-heap placement and
-//! refill), and pushes below the advancing cursor (past-insert clamp).
+//! The queue is checked against a reference model: a `Vec` kept sorted
+//! by `(time, seq)`, with sequence numbers counted by the model itself.
+//! For *every* interleaving of pushes and pops the queue must match it
+//! observation for observation — same pop sequence `(time, seq, dst,
+//! payload)`, same `next_time`, same `len`, and a `census()` listing the
+//! pending events in exactly the model's order. Random schedules mix
+//! bursty same-tick ties (FIFO tie-break), in-window spreads, far-future
+//! pushes and pushes below the last popped time.
 
 use proptest::prelude::*;
 
-use tokencmp::sim::{EventKind, EventQueue, NodeId, Time, WheelScheduler};
-use tokencmp::SchedulerKind;
+use tokencmp::sim::{EventKind, EventQueue, NodeId, QueuedEvent, Time};
 
-/// One lap of the wheel, in picoseconds — offsets straddling this value
-/// force wheel/overflow boundary decisions.
-const HORIZON: u64 = WheelScheduler::<u64>::HORIZON_PS;
+/// Spread of the in-window offsets, in picoseconds (~1 µs, a few
+/// inter-CMP round trips); far-future pushes land several spreads out.
+const SPREAD: u64 = 1 << 20;
 
 #[derive(Clone, Debug)]
 enum Op {
     /// Push at `last popped time + offset` — offsets of zero land on the
-    /// current tick, small ones stay in-window, large ones overflow.
+    /// current tick, small ones stay near it, large ones far ahead.
     Push(u64),
-    /// Pop once and compare the full event between backends.
+    /// Pop once and compare the full event with the model.
     Pop,
 }
 
@@ -32,126 +31,169 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         // Bursty ties: a handful of distinct ticks, drawn repeatedly.
         (0u64..4).prop_map(|k| Op::Push(k * 1024)),
         // In-window spread.
-        (0u64..HORIZON).prop_map(Op::Push),
-        // The horizon boundary, a few ps either side.
-        (HORIZON - 4..HORIZON + 4).prop_map(Op::Push),
-        // Far future: several laps out, forcing overflow refills.
-        (2 * HORIZON..6 * HORIZON).prop_map(Op::Push),
+        (0u64..SPREAD).prop_map(Op::Push),
+        // The window edge, a few ps either side.
+        (SPREAD - 4..SPREAD + 4).prop_map(Op::Push),
+        // Far future.
+        (2 * SPREAD..6 * SPREAD).prop_map(Op::Push),
         Just(Op::Pop),
         Just(Op::Pop),
     ];
     proptest::collection::vec(op, 0..250)
 }
 
+/// The reference model: pending events sorted by `(time, seq)`.
+#[derive(Default)]
+struct SortedVec<M> {
+    pending: Vec<(Time, u64, NodeId, EventKind<M>)>,
+    next_seq: u64,
+}
+
+impl<M> SortedVec<M> {
+    fn push(&mut self, time: Time, dst: NodeId, kind: EventKind<M>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let at = self.pending.partition_point(|e| (e.0, e.1) < (time, seq));
+        self.pending.insert(at, (time, seq, dst, kind));
+    }
+
+    fn pop(&mut self) -> Option<(Time, u64, NodeId, EventKind<M>)> {
+        (!self.pending.is_empty()).then(|| self.pending.remove(0))
+    }
+
+    fn next_time(&self) -> Option<Time> {
+        self.pending.first().map(|e| e.0)
+    }
+}
+
+fn coords<M>(e: &QueuedEvent<M>) -> (Time, u64, NodeId) {
+    (e.time, e.seq(), e.dst)
+}
+
+/// Drains `q` and `model` together, asserting they agree event for event.
+fn drain_matches<M: PartialEq + std::fmt::Debug>(q: &mut EventQueue<M>, model: &mut SortedVec<M>) {
+    loop {
+        match (q.pop(), model.pop()) {
+            (Some(a), Some(b)) => {
+                prop_assert_eq!(coords(&a), (b.0, b.1, b.2));
+                prop_assert_eq!(&a.kind, &b.3);
+            }
+            (None, None) => return,
+            (a, b) => prop_assert!(false, "drain length mismatch: queue={:?} model={:?}", a, b),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Heap and wheel agree on every observation of every schedule.
+    /// The queue agrees with the sorted-`Vec` model on every observation
+    /// of every schedule, and its census lists the model's order.
     #[test]
-    fn backends_are_observationally_identical(ops in ops_strategy()) {
-        let mut heap: EventQueue<u64> = EventQueue::with_backend(SchedulerKind::Heap);
-        let mut wheel: EventQueue<u64> = EventQueue::with_backend(SchedulerKind::Wheel);
+    fn queue_matches_the_sorted_reference(ops in ops_strategy()) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model = SortedVec::default();
         let mut base = 0u64; // time of the last popped event
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 Op::Push(offset) => {
                     let t = Time::from_ps(base.saturating_add(offset));
                     let dst = NodeId((i % 7) as u32);
-                    // Alternate payload kinds so both code paths (wake
-                    // tags and slab-pooled messages) are exercised.
-                    if i % 2 == 0 {
-                        heap.push(t, dst, EventKind::Wake { tag: i as u64 });
-                        wheel.push(t, dst, EventKind::Wake { tag: i as u64 });
+                    // Alternate payload kinds so both are carried.
+                    let kind = if i % 2 == 0 {
+                        EventKind::Wake { tag: i as u64 }
                     } else {
-                        let m = EventKind::Msg { src: dst, msg: i as u64 };
-                        heap.push(t, dst, m.clone());
-                        wheel.push(t, dst, m);
+                        EventKind::Msg { src: dst, msg: i as u64 }
+                    };
+                    q.push(t, dst, kind.clone());
+                    model.push(t, dst, kind);
+                }
+                Op::Pop => match (q.pop(), model.pop()) {
+                    (Some(a), Some(b)) => {
+                        prop_assert_eq!(coords(&a), (b.0, b.1, b.2), "pop diverged at op {}", i);
+                        prop_assert_eq!(&a.kind, &b.3, "pop payload diverged at op {}", i);
+                        base = a.time.as_ps();
                     }
-                }
-                Op::Pop => {
-                    let (h, w) = (heap.pop(), wheel.pop());
-                    match (&h, &w) {
-                        (Some(a), Some(b)) => {
-                            prop_assert_eq!(a.time, b.time, "pop time diverged at op {}", i);
-                            prop_assert_eq!(a.seq(), b.seq(), "pop seq diverged at op {}", i);
-                            prop_assert_eq!(a.dst, b.dst, "pop dst diverged at op {}", i);
-                            prop_assert_eq!(&a.kind, &b.kind, "pop payload diverged at op {}", i);
-                            base = a.time.as_ps();
-                        }
-                        (None, None) => {}
-                        _ => prop_assert!(false, "one backend empty at op {}: heap={:?} wheel={:?}", i, h, w),
-                    }
-                }
+                    (None, None) => {}
+                    (a, b) => prop_assert!(false, "one side empty at op {}: queue={:?} model={:?}", i, a, b),
+                },
             }
-            prop_assert_eq!(heap.next_time(), wheel.next_time(), "next_time diverged at op {}", i);
-            prop_assert_eq!(heap.len(), wheel.len(), "len diverged at op {}", i);
+            prop_assert_eq!(q.next_time(), model.next_time(), "next_time diverged at op {}", i);
+            prop_assert_eq!(q.len(), model.pending.len(), "len diverged at op {}", i);
+            prop_assert_eq!(q.next_seq(), model.next_seq, "next_seq diverged at op {}", i);
+            let census: Vec<_> = q.census().into_iter().map(coords).collect();
+            let expect: Vec<_> = model.pending.iter().map(|e| (e.0, e.1, e.2)).collect();
+            prop_assert_eq!(census, expect, "census diverged at op {}", i);
         }
-        // Drain both to the end: the tails must match event for event.
-        loop {
-            match (heap.pop(), wheel.pop()) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!((a.time, a.seq(), a.dst), (b.time, b.seq(), b.dst));
-                    prop_assert_eq!(&a.kind, &b.kind);
-                }
-                (None, None) => break,
-                (h, w) => prop_assert!(false, "drain length mismatch: heap={:?} wheel={:?}", h, w),
-            }
-        }
+        drain_matches(&mut q, &mut model);
     }
 
-    /// Past-heavy schedules: pops first advance the wheel cursor deep
-    /// into the schedule, then every push lands *below* it (the clamp
-    /// path), which the heap handles natively — orders must still match.
+    /// Events pushed at a few shared times, in scrambled order, leave
+    /// grouped by time and, within each time, in push order.
     #[test]
-    fn past_inserts_match_the_reference(ticks in proptest::collection::vec(0u64..2 * HORIZON, 1..40)) {
-        let mut heap: EventQueue<u32> = EventQueue::with_backend(SchedulerKind::Heap);
-        let mut wheel: EventQueue<u32> = EventQueue::with_backend(SchedulerKind::Wheel);
-        for q in [&mut heap, &mut wheel] {
-            // Advance the cursor far ahead of every subsequent push.
-            q.push(Time::from_ps(10 * HORIZON), NodeId(0), EventKind::Wake { tag: 0 });
-            q.pop();
-            for (i, &t) in ticks.iter().enumerate() {
-                q.push(Time::from_ps(t), NodeId(0), EventKind::Wake { tag: i as u64 });
-            }
+    fn same_time_ties_pop_fifo_by_seq(ticks in proptest::collection::vec(0u64..4, 1..120)) {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for (i, &k) in ticks.iter().enumerate() {
+            q.push(Time::from_ps(k * 1024), NodeId(0), EventKind::Wake { tag: i as u64 });
         }
-        loop {
-            match (heap.pop(), wheel.pop()) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!((a.time, a.seq()), (b.time, b.seq()));
-                    prop_assert_eq!(&a.kind, &b.kind);
+        let popped: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Wake { tag } => {
+                    assert_eq!(tag, e.seq(), "seq is the push index");
+                    (e.time, e.seq())
                 }
-                (None, None) => break,
-                (h, w) => prop_assert!(false, "length mismatch: heap={:?} wheel={:?}", h, w),
-            }
+                EventKind::Msg { .. } => unreachable!(),
+            })
+            .collect();
+        let mut expect = popped.clone();
+        expect.sort();
+        prop_assert_eq!(popped.len(), ticks.len());
+        prop_assert_eq!(popped, expect);
+    }
+
+    /// Past-heavy schedules: an event far ahead is popped first, then
+    /// every push lands *below* that last popped time. The queue must
+    /// still follow the model.
+    #[test]
+    fn past_inserts_match_the_reference(ticks in proptest::collection::vec(0u64..2 * SPREAD, 1..40)) {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut model = SortedVec::default();
+        let far = Time::from_ps(10 * SPREAD);
+        q.push(far, NodeId(0), EventKind::Wake { tag: 0 });
+        model.push(far, NodeId(0), EventKind::Wake { tag: 0 });
+        prop_assert_eq!(q.pop().map(|e| coords(&e)), model.pop().map(|e| (e.0, e.1, e.2)));
+        for (i, &t) in ticks.iter().enumerate() {
+            let kind = EventKind::Wake { tag: i as u64 };
+            q.push(Time::from_ps(t), NodeId(0), kind.clone());
+            model.push(Time::from_ps(t), NodeId(0), kind);
         }
+        drain_matches(&mut q, &mut model);
     }
 }
 
-/// `next_seq` stays strictly monotonic across millions of pushes on both
-/// backends (ISSUE 6 satellite: seq assignment is central, so neither
-/// backend can skip or reuse a number even under slab/bucket churn).
+/// `next_seq` stays strictly monotonic across millions of pushes: seq
+/// assignment is central, so no number is skipped or reused however
+/// pushes and pops interleave.
 #[test]
 fn next_seq_is_monotonic_under_millions_of_pushes() {
-    for kind in SchedulerKind::ALL {
-        let mut q: EventQueue<u32> = EventQueue::with_backend(kind);
-        let mut pushed = 0u64;
-        for round in 0..2_000u64 {
-            for i in 0..1_000u64 {
-                assert_eq!(q.next_seq(), pushed, "seq skipped on {kind}");
-                q.push(
-                    Time::from_ps(round * 512 + (i % 13)),
-                    NodeId(0),
-                    EventKind::Wake { tag: i },
-                );
-                pushed += 1;
-            }
-            // Drain half each round so the queue stays bounded but the
-            // push counter keeps climbing past 2 million.
-            for _ in 0..500 {
-                q.pop();
-            }
+    let mut q: EventQueue<u32> = EventQueue::new();
+    let mut pushed = 0u64;
+    for round in 0..2_000u64 {
+        for i in 0..1_000u64 {
+            assert_eq!(q.next_seq(), pushed, "seq skipped");
+            q.push(
+                Time::from_ps(round * 512 + (i % 13)),
+                NodeId(0),
+                EventKind::Wake { tag: i },
+            );
+            pushed += 1;
         }
-        assert_eq!(pushed, 2_000_000);
-        assert_eq!(q.next_seq(), pushed, "pops must not consume seqs on {kind}");
+        // Drain half each round so the queue stays bounded but the
+        // push counter keeps climbing past 2 million.
+        for _ in 0..500 {
+            q.pop();
+        }
     }
+    assert_eq!(pushed, 2_000_000);
+    assert_eq!(q.next_seq(), pushed, "pops must not consume seqs");
 }
