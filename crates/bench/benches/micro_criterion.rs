@@ -29,6 +29,29 @@ fn bench_event_queue(c: &mut Criterion) {
             }
         });
     });
+    // Hold model at the depth a 64 × 4 mesh run keeps pending (mean
+    // ~38 k): each op pops the earliest event and pushes one a random
+    // delay after it, so the depth stays at `DEPTH`.
+    const DEPTH: u64 = 48_000;
+    c.bench_function("event_queue_hold_48k_pending_1k_ops", |b| {
+        let mut rng = Rng::new(11);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..DEPTH {
+            q.push(
+                Time::from_ps(rng.below(1_000_000)),
+                NodeId(0),
+                EventKind::Wake { tag: i },
+            );
+        }
+        b.iter(|| {
+            for _ in 0..1000 {
+                let e = q.pop().expect("held at DEPTH");
+                let t = Time::from_ps(e.time.as_ps() + rng.below(1_000_000));
+                q.push(t, e.dst, e.kind);
+            }
+            black_box(q.len())
+        });
+    });
 }
 
 fn bench_cache_array(c: &mut Criterion) {
@@ -65,6 +88,48 @@ fn bench_persistent_table(c: &mut Criterion) {
             for p in 0..16u16 {
                 t.deactivate(ProcId(p), 1);
             }
+        });
+    });
+    for procs in [256usize, 1024] {
+        bench_persistent_table_at_scale(c, procs);
+    }
+}
+
+/// A `procs`-slot table at the occupancy of the 64 × 4 mesh (about
+/// 46 % of slots live, about 2.25 entries per live block). Each
+/// iteration moves one live processor to a new request (deactivate,
+/// then activate on a fresh block) and resolves 16 blocks, half of them
+/// absent from the table.
+fn bench_persistent_table_at_scale(c: &mut Criterion, procs: usize) {
+    let mut rng = Rng::new(procs as u64);
+    let live = procs * 46 / 100;
+    let blocks = (live as u64 * 4).div_ceil(9);
+    let mut order: Vec<u16> = (0..procs as u16).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let holders = &order[..live];
+    let mut t = DistTable::new(procs);
+    let mut epoch = vec![1u64; procs];
+    for &p in holders {
+        let blk = Block(rng.below(blocks));
+        t.activate(ProcId(p), blk, NodeId(u32::from(p)), ReqKind::Write, 1);
+    }
+    let probes: Vec<Block> = (0..4096).map(|_| Block(rng.below(2 * blocks))).collect();
+    let mut next = 0usize;
+    c.bench_function(&format!("dist_table_activate_resolve_{procs}p"), |b| {
+        b.iter(|| {
+            let p = holders[next % live];
+            let e = &mut epoch[p as usize];
+            t.deactivate(ProcId(p), *e);
+            *e += 1;
+            let blk = Block(rng.below(blocks));
+            t.activate(ProcId(p), blk, NodeId(u32::from(p)), ReqKind::Write, *e);
+            let at = (next * 16) % probes.len();
+            for &blk in &probes[at..at + 16] {
+                black_box(t.active_for(blk));
+            }
+            next += 1;
         });
     });
 }

@@ -33,16 +33,24 @@ pub struct ActiveReq {
     pub kind: ReqKind,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct DistEntry {
-    block: Block,
-    requester: NodeId,
-    kind: ReqKind,
-    epoch: u64,
-    /// Wave marking: set on entries outstanding when the local processor's
-    /// own request deactivated; blocks local re-issue until cleared.
-    marked: bool,
-}
+/// Cold per-processor state of a [`DistTable`] slot, read only once the
+/// block scan has found the slot (or on activation and deactivation):
+/// `(epoch, deactivated_up_to, requester, write, marked)` — the live
+/// entry's issue number, the highest epoch this processor has
+/// deactivated (ghost suppression), the L1 to forward tokens to, whether
+/// the request is a write, and the wave mark (set on entries
+/// outstanding when the local processor's own request deactivated;
+/// blocks local re-issue until cleared). A tuple of integers and bools,
+/// so `vec!` can hand out the array as zeroed memory.
+type Cold = (u64, u64, u32, bool, bool);
+
+/// Slots scanned per step by [`DistTable`]'s block search: the chunk's
+/// compares are OR-ed, and only a chunk that hits is searched for the
+/// slot.
+const SCAN_CHUNK: usize = 16;
+
+/// The block id that cannot be stored: an empty slot's key.
+const SENTINEL_BLOCK: u64 = u64::MAX;
 
 /// The distributed-activation persistent request table kept at *every*
 /// coherence node: one entry per processor (the paper sizes it at one
@@ -52,23 +60,44 @@ struct DistEntry {
 /// own activation; each entry carries the issuing processor's *epoch*
 /// (issue number) and the table remembers the highest deactivated epoch
 /// per processor, suppressing late-arriving ghost activations.
+///
+/// Layout: a structure of arrays indexed by processor, 32 bytes per
+/// processor in two allocations.
+///
+/// * `keys` (8 B/proc) holds each slot's block as `!block`, so an empty
+///   slot is 0 (the array starts zeroed) and stands for the sentinel
+///   block `u64::MAX`, which [`activate`](Self::activate) refuses. Block
+///   lookups scan only this array, [`SCAN_CHUNK`] slots at a time, and
+///   stop at the first (lowest-processor) match.
+/// * `cold` (24 B/proc) holds the requester, kind, wave mark and epoch of
+///   the live entry, plus the processor's deactivated-up-to epoch.
+///
+/// A live-entry count makes `len`, `is_empty` and every lookup on an
+/// empty table O(1).
 #[derive(Clone, Debug)]
 pub struct DistTable {
-    entries: Vec<Option<DistEntry>>,
-    deactivated_up_to: Vec<u64>,
+    keys: Vec<u64>,
+    cold: Vec<Cold>,
+    live: usize,
 }
 
 impl DistTable {
     /// Creates a table for `procs` processors.
     pub fn new(procs: usize) -> DistTable {
         DistTable {
-            entries: vec![None; procs],
-            deactivated_up_to: vec![0; procs],
+            keys: vec![0; procs],
+            cold: vec![(0, 0, 0, false, false); procs],
+            live: 0,
         }
     }
 
     /// Records an activation (ignored if epoch `epoch` was already
     /// deactivated — a ghost that overtook its own deactivation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is the sentinel block `u64::MAX`, which marks an
+    /// empty slot.
     pub fn activate(
         &mut self,
         proc: ProcId,
@@ -77,16 +106,23 @@ impl DistTable {
         kind: ReqKind,
         epoch: u64,
     ) {
-        if epoch <= self.deactivated_up_to[proc.0 as usize] {
+        assert_ne!(
+            block.0, SENTINEL_BLOCK,
+            "DistTable: block id u64::MAX is the empty-slot sentinel and cannot be activated"
+        );
+        let p = proc.0 as usize;
+        let (entry_epoch, deactivated_up_to, req, write, marked) = &mut self.cold[p];
+        if epoch <= *deactivated_up_to {
             return;
         }
-        self.entries[proc.0 as usize] = Some(DistEntry {
-            block,
-            requester,
-            kind,
-            epoch,
-            marked: false,
-        });
+        *entry_epoch = epoch;
+        *req = requester.0;
+        *write = kind == ReqKind::Write;
+        *marked = false;
+        if self.keys[p] == 0 {
+            self.live += 1;
+        }
+        self.keys[p] = !block.0;
     }
 
     /// Clears an entry on deactivation (epoch-matched) and suppresses any
@@ -94,25 +130,43 @@ impl DistTable {
     /// Returns true if an entry was removed.
     pub fn deactivate(&mut self, proc: ProcId, epoch: u64) -> bool {
         let p = proc.0 as usize;
-        if epoch > self.deactivated_up_to[p] {
-            self.deactivated_up_to[p] = epoch;
+        let (entry_epoch, deactivated_up_to, ..) = &mut self.cold[p];
+        if epoch > *deactivated_up_to {
+            *deactivated_up_to = epoch;
         }
-        match self.entries[p] {
-            Some(e) if e.epoch <= epoch => {
-                self.entries[p] = None;
-                true
+        if self.keys[p] != 0 && *entry_epoch <= epoch {
+            self.keys[p] = 0;
+            self.live -= 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// The lowest processor at or after `from` whose entry is for `key`.
+    #[inline]
+    fn find_from(&self, key: u64, from: usize) -> Option<usize> {
+        if self.live == 0 {
+            return None;
+        }
+        let (chunks, rest) = self.keys[from..].as_chunks::<SCAN_CHUNK>();
+        for (i, chunk) in chunks.iter().enumerate() {
+            if chunk.iter().fold(false, |hit, &k| hit | (k == key)) {
+                let at = chunk.iter().position(|&k| k == key)?;
+                return Some(from + i * SCAN_CHUNK + at);
             }
-            _ => false,
         }
+        let at = rest.iter().position(|&k| k == key)?;
+        Some(from + chunks.len() * SCAN_CHUNK + at)
     }
 
     /// Applies the wave rule at the issuing processor's own table: when its
     /// request for `block` completes, all remaining valid entries for the
     /// same block are marked.
     pub fn mark_peers(&mut self, block: Block) {
-        for e in self.entries.iter_mut().flatten() {
-            if e.block == block {
-                e.marked = true;
+        for (&k, (.., marked)) in self.keys.iter().zip(&mut self.cold) {
+            if k == !block.0 {
+                *marked = true;
             }
         }
     }
@@ -121,10 +175,10 @@ impl DistTable {
     /// not issue a new persistent request for it yet (FutureBus-style wave
     /// grouping, §3.2).
     pub fn has_marked(&self, block: Block) -> bool {
-        self.entries
+        self.keys
             .iter()
-            .flatten()
-            .any(|e| e.block == block && e.marked)
+            .zip(&self.cold)
+            .any(|(&k, &(.., marked))| k == !block.0 && marked)
     }
 
     /// The active (highest-priority) request for `block`, if any.
@@ -133,41 +187,41 @@ impl DistTable {
     /// procs_per_chip + core`, the low bits vary within a chip, so
     /// contended blocks tend to hand off within a chip first.
     pub fn active_for(&self, block: Block) -> Option<ActiveReq> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
-            .find(|(_, e)| e.block == block)
-            .map(|(i, e)| ActiveReq {
-                proc: ProcId(i as u16),
-                requester: e.requester,
-                kind: e.kind,
-            })
+        let p = self.find_from(!block.0, 0)?;
+        let (_, _, requester, write, _) = self.cold[p];
+        Some(ActiveReq {
+            proc: ProcId(p as u16),
+            requester: NodeId(requester),
+            kind: if write { ReqKind::Write } else { ReqKind::Read },
+        })
     }
 
-    /// All blocks with at least one table entry (used when tokens arrive).
+    /// True if at least one processor has a table entry for `block`
+    /// (checked when tokens arrive).
     pub fn has_any_for(&self, block: Block) -> bool {
-        self.entries.iter().flatten().any(|e| e.block == block)
+        self.find_from(!block.0, 0).is_some()
     }
 
     /// Number of valid entries (for table-occupancy statistics).
     pub fn len(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.live
     }
 
     /// Every valid entry as `(proc, block)`, in priority order — the
     /// telemetry sampler walks this to track how long each persistent
     /// request has been outstanding (starvation age).
     pub fn entries(&self) -> impl Iterator<Item = (ProcId, Block)> + '_ {
-        self.entries
+        let n = if self.live == 0 { 0 } else { self.keys.len() };
+        self.keys[..n]
             .iter()
             .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (ProcId(i as u16), e.block)))
+            .filter(|&(_, &k)| k != 0)
+            .map(|(p, &k)| (ProcId(p as u16), Block(!k)))
     }
 
     /// True if the table has no valid entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 }
 

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use crate::profile::{HostProfiler, ProfilerHandle};
-use crate::queue::{EventKind, EventQueue, QueuedEvent};
+use crate::queue::{EventKind, EventQueue, Pending};
 use crate::stats::Stats;
 use crate::time::{Dur, Time};
 
@@ -400,14 +400,14 @@ impl<M: 'static> Kernel<M> {
     /// A snapshot of the pending events, sorted by `(time, seq)` — the
     /// order they would be delivered in — used by harnesses to build an
     /// in-flight message census for watchdog diagnostics.
-    pub fn pending_events(&self) -> Vec<&QueuedEvent<M>> {
+    pub fn pending_events(&self) -> Vec<Pending<'_, M>> {
         self.queue.census()
     }
 
     /// [`pending_events`](Self::pending_events) in heap order, for
     /// callers that only aggregate over the census (the telemetry
     /// sampler) and should not pay for the sort.
-    pub fn pending_events_unordered(&self) -> impl Iterator<Item = &QueuedEvent<M>> {
+    pub fn pending_events_unordered(&self) -> impl Iterator<Item = Pending<'_, M>> {
         self.queue.census_unordered()
     }
 

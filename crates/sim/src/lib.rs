@@ -60,7 +60,7 @@ pub use kernel::{
     Transport,
 };
 pub use profile::{CatTotals, HostProfile, HostProfiler, ProfileEntry, ProfilerHandle};
-pub use queue::{EventKind, EventQueue, QueuedEvent};
+pub use queue::{Event, EventKind, EventQueue, Pending};
 pub use rng::Rng;
 pub use sched::SchedulerKind;
 pub use stats::{Ewma, Histogram, Stats};

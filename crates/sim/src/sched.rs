@@ -48,7 +48,7 @@ mod tests {
     /// Pops everything, as `(time in ps, seq)`.
     fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| q.pop())
-            .map(|e| (e.time.as_ps(), e.seq()))
+            .map(|e| (e.time.as_ps(), e.seq))
             .collect()
     }
 

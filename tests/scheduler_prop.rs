@@ -7,11 +7,13 @@
 //! payload)`, same `next_time`, same `len`, and a `census()` listing the
 //! pending events in exactly the model's order. Random schedules mix
 //! bursty same-tick ties (FIFO tie-break), in-window spreads, far-future
-//! pushes and pushes below the last popped time.
+//! pushes and pushes below the last popped time; deep bursts of over
+//! 10 k pending events, drained part way and refilled, exercise the
+//! reuse of freed body slots.
 
 use proptest::prelude::*;
 
-use tokencmp::sim::{EventKind, EventQueue, NodeId, QueuedEvent, Time};
+use tokencmp::sim::{Event, EventKind, EventQueue, NodeId, Pending, Rng, Time};
 
 /// Spread of the in-window offsets, in picoseconds (~1 µs, a few
 /// inter-CMP round trips); far-future pushes land several spreads out.
@@ -66,8 +68,13 @@ impl<M> SortedVec<M> {
     }
 }
 
-fn coords<M>(e: &QueuedEvent<M>) -> (Time, u64, NodeId) {
-    (e.time, e.seq(), e.dst)
+fn coords<M>(e: &Event<M>) -> (Time, u64, NodeId) {
+    (e.time, e.seq, e.dst)
+}
+
+/// A census entry as `(time, seq, dst, payload)`.
+fn view<M: Clone>(e: Pending<'_, M>) -> (Time, u64, NodeId, EventKind<M>) {
+    (e.time, e.seq, e.dst, e.kind.clone())
 }
 
 /// Drains `q` and `model` together, asserting they agree event for event.
@@ -121,9 +128,8 @@ proptest! {
             prop_assert_eq!(q.next_time(), model.next_time(), "next_time diverged at op {}", i);
             prop_assert_eq!(q.len(), model.pending.len(), "len diverged at op {}", i);
             prop_assert_eq!(q.next_seq(), model.next_seq, "next_seq diverged at op {}", i);
-            let census: Vec<_> = q.census().into_iter().map(coords).collect();
-            let expect: Vec<_> = model.pending.iter().map(|e| (e.0, e.1, e.2)).collect();
-            prop_assert_eq!(census, expect, "census diverged at op {}", i);
+            let census: Vec<_> = q.census().into_iter().map(view).collect();
+            prop_assert_eq!(&census, &model.pending, "census diverged at op {}", i);
         }
         drain_matches(&mut q, &mut model);
     }
@@ -139,8 +145,8 @@ proptest! {
         let popped: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::Wake { tag } => {
-                    assert_eq!(tag, e.seq(), "seq is the push index");
-                    (e.time, e.seq())
+                    assert_eq!(tag, e.seq, "seq is the push index");
+                    (e.time, e.seq)
                 }
                 EventKind::Msg { .. } => unreachable!(),
             })
@@ -167,6 +173,56 @@ proptest! {
             q.push(Time::from_ps(t), NodeId(0), kind.clone());
             model.push(Time::from_ps(t), NodeId(0), kind);
         }
+        drain_matches(&mut q, &mut model);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// Deep bursts: at least 10 k pending events, a partial drain, a
+    /// refill that lands in the freed slab slots, then a full drain. The
+    /// queue must follow the model event for event, and its census must
+    /// list the model's order after the refill.
+    #[test]
+    fn deep_burst_reuses_slots_like_the_reference(
+        burst in 10_000usize..12_000,
+        drained in 1_000usize..9_000,
+        refill in 1_000usize..9_000,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng::new(seed);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model = SortedVec::default();
+        let mut push = |q: &mut EventQueue<u64>, model: &mut SortedVec<u64>, base: u64, i: usize| {
+            // Few distinct ticks per burst, so same-time ties are common.
+            let t = Time::from_ps(base + rng.below(2048) * 512);
+            let dst = NodeId((i % 61) as u32);
+            let kind = if i.is_multiple_of(3) {
+                EventKind::Wake { tag: i as u64 }
+            } else {
+                EventKind::Msg { src: dst, msg: i as u64 }
+            };
+            q.push(t, dst, kind.clone());
+            model.push(t, dst, kind);
+        };
+        for i in 0..burst {
+            push(&mut q, &mut model, 0, i);
+        }
+        prop_assert_eq!(q.len(), burst);
+        let mut base = 0;
+        for _ in 0..drained {
+            let (a, b) = (q.pop().unwrap(), model.pop().unwrap());
+            prop_assert_eq!(coords(&a), (b.0, b.1, b.2));
+            prop_assert_eq!(&a.kind, &b.3);
+            base = a.time.as_ps();
+        }
+        for i in 0..refill {
+            push(&mut q, &mut model, base, burst + i);
+        }
+        prop_assert_eq!(q.len(), model.pending.len());
+        let census: Vec<_> = q.census().into_iter().map(view).collect();
+        prop_assert_eq!(&census, &model.pending, "census diverged after the refill");
         drain_matches(&mut q, &mut model);
     }
 }
