@@ -1,7 +1,9 @@
 //! Model-checking state throughput: sequential BFS vs `check_parallel`.
 //!
 //! Measures states/sec for each model configuration across worker
-//! counts and reduction knobs, records the results into the committed
+//! counts and reduction knobs — with the host time of each parallel
+//! run split into its parallel expand and sequential merge phases —
+//! records the results into the committed
 //! trajectory `BENCH_mcheck.json` (see `tokencmp_bench::mcheck`), and
 //! exports the per-configuration scaling table to
 //! `target/sweep/mcheck_scaling.json` for the CI artifact.
@@ -99,7 +101,8 @@ where
             r.transitions,
             Duration::from_secs_f64(r.seconds.max(1e-9)),
             r.workers as u64,
-        ),
+        )
+        .with_phases(r.expand_seconds, r.merge_seconds),
     }
 }
 
@@ -123,9 +126,10 @@ where
 
 fn print_table(rows: &[Row]) {
     println!(
-        "{:<28} {:<16} {:>10} {:>12} {:>12} {:>9}",
-        "config", "bench", "states", "transitions", "states/sec", "vs seq"
+        "{:<28} {:<16} {:>10} {:>12} {:>12} {:>9} {:>9} {:>9}",
+        "config", "bench", "states", "transitions", "states/sec", "vs seq", "expand s", "merge s"
     );
+    let secs = |x: Option<f64>| x.map_or("-".to_string(), |s| format!("{s:.3}"));
     let mut seq_rate = 0.0;
     for r in rows {
         let e = &r.entry;
@@ -133,13 +137,15 @@ fn print_table(rows: &[Row]) {
             seq_rate = e.states_per_sec;
         }
         println!(
-            "{:<28} {:<16} {:>10} {:>12} {:>12.3e} {:>8.2}x",
+            "{:<28} {:<16} {:>10} {:>12} {:>12.3e} {:>8.2}x {:>9} {:>9}",
             e.config,
             e.bench,
             e.states,
             e.transitions,
             e.states_per_sec,
-            e.states_per_sec / seq_rate
+            e.states_per_sec / seq_rate,
+            secs(e.expand_seconds),
+            secs(e.merge_seconds)
         );
     }
 }

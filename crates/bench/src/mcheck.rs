@@ -13,13 +13,19 @@
 //! {
 //!   "schema": "tokencmp-mcheck-bench-v1",
 //!   "entries": [
-//!     {"run": "pr9", "config": "small_recovery/Distributed",
+//!     {"run": "pr14", "config": "small_recovery/Distributed",
 //!      "bench": "par/w4+sym+por", "states": 1437255,
-//!      "transitions": 7222739, "elapsed_ns": 35630000000,
-//!      "states_per_sec": 40338.6, "workers": 4, "host_cores": 4}
+//!      "transitions": 7222739, "elapsed_ns": 16404159119,
+//!      "states_per_sec": 87615.3, "workers": 4, "host_cores": 2,
+//!      "expand_seconds": 10.96, "merge_seconds": 5.25}
 //!   ]
 //! }
 //! ```
+//!
+//! `expand_seconds` and `merge_seconds` (host time of the parallel
+//! expand and the sequential merge phase of a `par/...` run, summed
+//! over BFS levels) are optional: entries recorded before they existed
+//! carry neither, and `seq` entries have no phases.
 //!
 //! The speedup gate is honest about hardware: `check_parallel` must hit
 //! ≥2x the same run's sequential states/sec **only** for entries
@@ -66,6 +72,10 @@ pub struct McheckBenchEntry {
     /// `available_parallelism` on the measuring host — the gate reads
     /// this, so 1-core CI entries are self-describing.
     pub host_cores: u64,
+    /// Host seconds in the parallel expand phase (`par/...` only).
+    pub expand_seconds: Option<f64>,
+    /// Host seconds in the sequential merge phase (`par/...` only).
+    pub merge_seconds: Option<f64>,
 }
 
 impl McheckBenchEntry {
@@ -92,7 +102,16 @@ impl McheckBenchEntry {
             host_cores: std::thread::available_parallelism()
                 .map(|n| n.get() as u64)
                 .unwrap_or(1),
+            expand_seconds: None,
+            merge_seconds: None,
         }
+    }
+
+    /// Records the expand/merge split of a parallel run.
+    pub fn with_phases(mut self, expand_seconds: f64, merge_seconds: f64) -> McheckBenchEntry {
+        self.expand_seconds = Some(expand_seconds);
+        self.merge_seconds = Some(merge_seconds);
+        self
     }
 
     /// The canonical `par/...` bench name for a knob combination.
@@ -113,7 +132,7 @@ impl McheckBenchEntry {
     }
 
     fn to_value(&self) -> Value {
-        Value::Obj(BTreeMap::from([
+        let mut obj = BTreeMap::from([
             ("run".into(), Value::Str(self.run.clone())),
             ("config".into(), Value::Str(self.config.clone())),
             ("bench".into(), Value::Str(self.bench.clone())),
@@ -123,7 +142,16 @@ impl McheckBenchEntry {
             ("states_per_sec".into(), Value::Float(self.states_per_sec)),
             ("workers".into(), Value::Int(self.workers)),
             ("host_cores".into(), Value::Int(self.host_cores)),
-        ]))
+        ]);
+        for (k, v) in [
+            ("expand_seconds", self.expand_seconds),
+            ("merge_seconds", self.merge_seconds),
+        ] {
+            if let Some(x) = v {
+                obj.insert(k.into(), Value::Float(x));
+            }
+        }
+        Value::Obj(obj)
     }
 
     fn from_value(v: &Value, idx: usize) -> Result<McheckBenchEntry, String> {
@@ -161,6 +189,15 @@ impl McheckBenchEntry {
         if host_cores == 0 {
             return Err(format!("entry {idx}: `host_cores` must be >= 1"));
         }
+        let phase_field = |k: &str| match v.get(k) {
+            None => Ok(None),
+            Some(x) => match x.as_f64() {
+                Some(s) if s.is_finite() && s >= 0.0 => Ok(Some(s)),
+                _ => Err(format!(
+                    "entry {idx}: `{k}` is not a non-negative number of seconds"
+                )),
+            },
+        };
         Ok(McheckBenchEntry {
             run: str_field("run")?,
             config: str_field("config")?,
@@ -171,6 +208,8 @@ impl McheckBenchEntry {
             states_per_sec: rate,
             workers,
             host_cores,
+            expand_seconds: phase_field("expand_seconds")?,
+            merge_seconds: phase_field("merge_seconds")?,
         })
     }
 }
@@ -351,6 +390,8 @@ mod tests {
             states_per_sec: sps,
             workers,
             host_cores,
+            expand_seconds: None,
+            merge_seconds: None,
         }
     }
 
@@ -358,10 +399,21 @@ mod tests {
     fn render_round_trips_through_the_parser() {
         let entries = vec![
             entry("small/SafetyOnly", "seq", 5e4, 1, 1),
-            entry("small/SafetyOnly", "par/w4+sym+por", 1.2e5, 4, 8),
+            entry("small/SafetyOnly", "par/w4+sym+por", 1.2e5, 4, 8).with_phases(0.75, 0.25),
         ];
         let parsed = parse_trajectory(&render(&entries)).unwrap();
         assert_eq!(parsed, entries);
+    }
+
+    #[test]
+    fn phase_fields_are_optional_but_validated() {
+        let old = r#"{"schema":"tokencmp-mcheck-bench-v1","entries":[{"run":"dev","config":"c","bench":"par/w2","states":1,"transitions":1,"elapsed_ns":1,"states_per_sec":1.0,"workers":2,"host_cores":1}]}"#;
+        let parsed = parse_trajectory(old).unwrap();
+        assert_eq!(parsed[0].expand_seconds, None);
+        assert_eq!(parsed[0].merge_seconds, None);
+        let bad = old.replace(r#""workers":2"#, r#""workers":2,"merge_seconds":-1.0"#);
+        let err = parse_trajectory(&bad).unwrap_err();
+        assert!(err.contains("merge_seconds"), "{err}");
     }
 
     #[test]

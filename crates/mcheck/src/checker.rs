@@ -12,6 +12,8 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use std::time::Instant;
 
+use crate::explore::{fingerprint, FpSet};
+
 /// A transition system with invariants.
 pub trait Model {
     /// The (hashable) global state.
@@ -50,9 +52,10 @@ pub trait Model {
     /// which is always sound. A model overriding this promises that its
     /// transition relation, invariant, and quiescence predicate are all
     /// invariant under the group it quotients by — the soundness
-    /// arguments per model live in DESIGN.md §17.
-    fn canonicalize(&self, s: &Self::State) -> Self::State {
-        s.clone()
+    /// arguments per model live in DESIGN.md §17. The state is taken by
+    /// value so the identity is a move.
+    fn canonicalize(&self, s: Self::State) -> Self::State {
+        s
     }
 
     /// Footprint metadata for the enabled action labelled `label` in
@@ -134,10 +137,10 @@ pub fn reachable_kinds<M: Model>(
     // and a collision could only drop a kind that is reachable via
     // other states anyway.
     let mut kinds = std::collections::BTreeSet::new();
-    let mut seen: std::collections::HashSet<u128> = std::collections::HashSet::new();
+    let mut seen = FpSet::default();
     let mut frontier: Vec<M::State> = Vec::new();
     for s in model.initial() {
-        if seen.insert(crate::explore::fingerprint(&s)) {
+        if seen.insert(fingerprint(&s)) {
             frontier.push(s);
         }
     }
@@ -146,20 +149,68 @@ pub fn reachable_kinds<M: Model>(
         succ.clear();
         model.successors(&s, &mut succ);
         for (label, t) in succ.drain(..) {
-            let kind = label.split_whitespace().next().unwrap_or("").to_string();
-            kinds.insert(kind);
-            let fp = crate::explore::fingerprint(&t);
-            if !seen.contains(&fp) {
+            let kind = kind_head(&label);
+            if !kinds.contains(kind) {
+                kinds.insert(kind.to_string());
+            }
+            if seen.insert(fingerprint(&t)) {
                 assert!(
-                    seen.len() < max_states,
+                    seen.len() <= max_states,
                     "state space exceeded {max_states} states"
                 );
-                seen.insert(fp);
                 frontier.push(t);
             }
         }
     }
     kinds
+}
+
+/// The transition kind of an action label: its first whitespace-separated
+/// word.
+pub(crate) fn kind_head(label: &str) -> &str {
+    label.split_whitespace().next().unwrap_or("")
+}
+
+/// The lowest-numbered state from which no quiescent state is reachable
+/// (the EF-quiescence check), or `None` if every state can quiesce. The
+/// graph is in CSR form: state `u`'s successors are
+/// `edge_to[edge_start[u]..edge_start[u + 1]]`. Backward reachability
+/// from the quiescent states runs over the reverse graph, built by a
+/// counting sort on edge targets.
+pub(crate) fn first_stuck(
+    edge_start: &[usize],
+    edge_to: &[u32],
+    quiescent: &[bool],
+) -> Option<u32> {
+    let n = quiescent.len();
+    // After the counts and their prefix sum, `rev_start[v]` is the end of
+    // `v`'s run; placing each edge decrements it to the run's start.
+    let mut rev_start = vec![0usize; n + 1];
+    for &v in edge_to {
+        rev_start[v as usize] += 1;
+    }
+    for v in 1..=n {
+        rev_start[v] += rev_start[v - 1];
+    }
+    let mut rev_to = vec![0u32; edge_to.len()];
+    for u in 0..n {
+        for &v in &edge_to[edge_start[u]..edge_start[u + 1]] {
+            rev_start[v as usize] -= 1;
+            rev_to[rev_start[v as usize]] = u as u32;
+        }
+    }
+    let mut ok = quiescent.to_vec();
+    let mut stack: Vec<u32> = (0..n as u32).filter(|&i| ok[i as usize]).collect();
+    while let Some(u) = stack.pop() {
+        let u = u as usize;
+        for &v in &rev_to[rev_start[u]..rev_start[u + 1]] {
+            if !ok[v as usize] {
+                ok[v as usize] = true;
+                stack.push(v);
+            }
+        }
+    }
+    ok.iter().position(|&q| !q).map(|i| i as u32)
 }
 
 /// A property violation plus the action trace leading to it.
@@ -255,7 +306,9 @@ pub fn check<M: Model>(model: &M, opts: &CheckOptions) -> Result<CheckReport, Bo
     let mut states: Vec<M::State> = Vec::new();
     let mut parent: Vec<Option<(usize, String)>> = Vec::new();
     let mut depth_of: Vec<usize> = Vec::new();
-    let mut edges: Vec<Vec<usize>> = Vec::new(); // forward adjacency (by id)
+    // Forward graph in CSR form (see `first_stuck`).
+    let mut edge_start: Vec<usize> = Vec::new();
+    let mut edge_to: Vec<u32> = Vec::new();
     let mut quiescent: Vec<bool> = Vec::new();
     let mut frontier: Vec<usize> = Vec::new();
     let mut transitions: u64 = 0;
@@ -285,7 +338,6 @@ pub fn check<M: Model>(model: &M, opts: &CheckOptions) -> Result<CheckReport, Bo
             states.push(s);
             parent.push(None);
             depth_of.push(0);
-            edges.push(Vec::new());
             quiescent.push(false);
             frontier.push(id);
         }
@@ -296,10 +348,11 @@ pub fn check<M: Model>(model: &M, opts: &CheckOptions) -> Result<CheckReport, Bo
     while head < frontier.len() {
         let id = frontier[head];
         head += 1;
-        let s = states[id].clone();
+        edge_start.push(edge_to.len());
+        let s = &states[id];
         succ.clear();
-        model.successors(&s, &mut succ);
-        quiescent[id] = model.is_quiescent(&s);
+        model.successors(s, &mut succ);
+        quiescent[id] = model.is_quiescent(s);
         if succ.is_empty() && !quiescent[id] {
             let (trace, state) = trace_to(id, &parent, &states);
             return Err(Box::new(Violation {
@@ -334,41 +387,20 @@ pub fn check<M: Model>(model: &M, opts: &CheckOptions) -> Result<CheckReport, Bo
                     let d = depth_of[id] + 1;
                     depth_of.push(d);
                     max_depth = max_depth.max(d);
-                    edges.push(Vec::new());
                     quiescent.push(false);
                     frontier.push(i);
                     i
                 }
             };
-            edges[id].push(t_id);
+            edge_to.push(t_id as u32);
         }
     }
+    edge_start.push(edge_to.len());
 
     // Progress: every state can reach a quiescent state (EF quiescence).
     if opts.check_progress {
-        let n = states.len();
-        // Backward reachability from quiescent states.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (u, outs) in edges.iter().enumerate() {
-            for &v in outs {
-                rev[v].push(u);
-            }
-        }
-        let mut ok = vec![false; n];
-        let mut stack: Vec<usize> = (0..n).filter(|&i| quiescent[i]).collect();
-        for &i in &stack {
-            ok[i] = true;
-        }
-        while let Some(u) = stack.pop() {
-            for &v in &rev[u] {
-                if !ok[v] {
-                    ok[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        if let Some(bad) = (0..n).find(|&i| !ok[i]) {
-            let (trace, state) = trace_to(bad, &parent, &states);
+        if let Some(bad) = first_stuck(&edge_start, &edge_to, &quiescent) {
+            let (trace, state) = trace_to(bad as usize, &parent, &states);
             return Err(Box::new(Violation {
                 message: "progress violation: no quiescent state reachable (livelock)".into(),
                 trace,

@@ -819,15 +819,17 @@ impl Model for DirModel {
     /// order* (busy state + FIFO deferred queue), never by cache index,
     /// so relabelling caches maps runs to runs; the invariant and
     /// quiescence predicate are index-blind. See DESIGN.md §17.
-    fn canonicalize(&self, s: &DState) -> DState {
-        let mut best = s.clone();
+    fn canonicalize(&self, s: DState) -> DState {
+        // The original stays the candidate until a permutation beats
+        // it; the original itself is never cloned.
+        let mut best: Option<DState> = None;
         for perm in permutations(self.p.caches).into_iter().skip(1) {
-            let t = self.permute(s, &perm);
-            if t < best {
-                best = t;
+            let t = self.permute(&s, &perm);
+            if t < *best.as_ref().unwrap_or(&s) {
+                best = Some(t);
             }
         }
-        best
+        best.unwrap_or(s)
     }
 
     /// Footprints: bit *p* = cache *p*, plus the directory complex

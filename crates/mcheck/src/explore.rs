@@ -17,12 +17,18 @@
 //!   suite in `tests/mcheck_parallel.rs` pins.
 //!
 //! * **Hashed state store.** States are deduplicated by 128-bit
-//!   fingerprint (two independently seeded hash passes) in a sharded
-//!   table, retaining 16 bytes per state instead of a full clone. At
-//!   n = 10⁷ states the collision probability is about n²/2¹²⁹ ≈ 10⁻²⁵
-//!   (see DESIGN.md §17). `CheckOptions::collision_audit` additionally
-//!   retains full states on a 1/16 fingerprint stripe and asserts that
-//!   every dedup hit on the stripe compares equal.
+//!   fingerprint (one pass feeding two independently keyed 64-bit
+//!   lanes) in a sharded table whose maps use the fingerprint's low
+//!   bits as the hash, retaining 16 bytes per state instead of a full
+//!   clone. At n = 10⁷ states the collision probability is about
+//!   n²/2¹²⁹ ≈ 10⁻²⁵ (see DESIGN.md §17).
+//!   `CheckOptions::collision_audit` additionally retains full states on
+//!   a 1/16 fingerprint stripe and asserts that every dedup hit on the
+//!   stripe compares equal.
+//!
+//! * **Id-only duplicates.** A successor the frozen store already holds
+//!   travels from its worker to the merge as a bare state id (audit
+//!   stripe excepted), and the explored graph is a flat CSR edge array.
 //!
 //! * **Symmetry reduction** quotients states by the model's
 //!   [`Model::canonicalize`] (identity by default — always sound).
@@ -37,28 +43,122 @@
 //! Soundness arguments for both reductions, per model, live in
 //! DESIGN.md §17.
 
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
 use tokencmp_pool::{default_threads, par_map_threads};
 
-use crate::checker::{ActionMeta, CheckOptions, Model, Violation};
+use crate::checker::{first_stuck, kind_head, ActionMeta, CheckOptions, Model, Violation};
 
-/// 128-bit state fingerprint: two independent 64-bit hash passes over
-/// the same value, distinguished by a seed prefix. `DefaultHasher::new`
-/// is specified to produce identical streams across instances, so
-/// fingerprints are stable within a build — which is all the store
-/// needs (they are never persisted).
-pub fn fingerprint<S: Hash>(s: &S) -> u128 {
-    let mut lo = DefaultHasher::new();
-    0u64.hash(&mut lo);
-    s.hash(&mut lo);
-    let mut hi = DefaultHasher::new();
-    0x9E37_79B9_7F4A_7C15u64.hash(&mut hi);
-    s.hash(&mut hi);
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
+/// Per-lane seeds, odd multipliers and shifts of the fingerprint
+/// hasher. An odd multiply carries a top-bit difference through
+/// unchanged; the different shifts move it to different bits in each
+/// lane, so no single following word cancels it in both.
+const LANE_SEEDS: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
+const LANE_MULS: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
+const LANE_SHIFTS: [u32; 2] = [32, 29];
+
+/// The one-pass fingerprint hasher: every write feeds both 64-bit
+/// lanes. Each absorb step — xor the word in, multiply by an odd
+/// constant, xor-shift — is a bijection of the lane state for a fixed
+/// word, so two word streams that differ in exactly one word never
+/// collide in either lane.
+struct FpHasher {
+    lanes: [u64; 2],
 }
+
+impl FpHasher {
+    #[inline]
+    fn absorb(&mut self, word: u64) {
+        for ((lane, mul), shift) in self.lanes.iter_mut().zip(LANE_MULS).zip(LANE_SHIFTS) {
+            let x = (*lane ^ word).wrapping_mul(mul);
+            *lane = x ^ (x >> shift);
+        }
+    }
+}
+
+/// The murmur3 64-bit finalizer (a bijection with full avalanche).
+fn fmix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    x ^ (x >> 33)
+}
+
+impl Hasher for FpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.absorb(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.absorb(u64::from_le_bytes(tail));
+        // The length separates byte strings that pad to the same words.
+        self.absorb(bytes.len() as u64);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.absorb(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.absorb(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.absorb(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.absorb(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.absorb(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        fmix64(self.lanes[0])
+    }
+}
+
+/// 128-bit state fingerprint: one traversal of the value feeds two
+/// independently keyed 64-bit lanes, each finished with [`fmix64`].
+/// Fingerprints are stable within a build, which is all the store needs
+/// (they are never persisted).
+pub fn fingerprint<S: Hash + ?Sized>(s: &S) -> u128 {
+    let mut h = FpHasher { lanes: LANE_SEEDS };
+    s.hash(&mut h);
+    (u128::from(fmix64(h.lanes[1])) << 64) | u128::from(fmix64(h.lanes[0]))
+}
+
+/// Pass-through hasher for maps keyed by a fingerprint: the key is
+/// already uniformly random, so its low 64 bits are the hash.
+#[derive(Default)]
+pub(crate) struct FpLow(u64);
+
+impl Hasher for FpLow {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("FpLow hashes u128 fingerprints only");
+    }
+
+    fn write_u128(&mut self, fp: u128) {
+        self.0 = fp as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of fingerprints hashed by [`FpLow`].
+pub(crate) type FpSet = HashSet<u128, BuildHasherDefault<FpLow>>;
+
+/// A map keyed by fingerprint, hashed by [`FpLow`].
+type FpMap<V> = HashMap<u128, V, BuildHasherDefault<FpLow>>;
 
 /// All permutations of `0..n` in lexicographic order (identity first) —
 /// the helper the protocol models use to canonicalize over node
@@ -89,15 +189,13 @@ const SHARDS: usize = 16;
 /// bits keeps per-map load factors low at millions of states; workers
 /// share it read-only during expansion, the merge phase writes.
 struct FpStore {
-    shards: Vec<HashMap<u128, u32>>,
-    len: usize,
+    shards: Vec<FpMap<u32>>,
 }
 
 impl FpStore {
     fn new() -> FpStore {
         FpStore {
-            shards: (0..SHARDS).map(|_| HashMap::new()).collect(),
-            len: 0,
+            shards: (0..SHARDS).map(|_| FpMap::default()).collect(),
         }
     }
 
@@ -110,18 +208,23 @@ impl FpStore {
     }
 
     fn insert(&mut self, fp: u128, id: u32) {
-        if self.shards[FpStore::shard(fp)].insert(fp, id).is_none() {
-            self.len += 1;
-        }
+        self.shards[FpStore::shard(fp)].insert(fp, id);
     }
+}
+
+/// True if `fp` lies on the collision-audit stripe: 1/16 of states,
+/// picked by bits of the high lane, which neither the store's bucket
+/// hash (low lane) nor its shard (top four bits) uses.
+fn on_audit_stripe(fp: u128) -> bool {
+    (fp >> 64) & 0xF == 0
 }
 
 /// Statistics from a [`check_parallel`] run. Superset of
 /// [`crate::CheckReport`]: the extra fields record reduction and audit
-/// activity plus the transition-kind universe (first word of every
-/// generated label, *including* labels pruned by the partial-order
-/// reduction — reduction saves stored and expanded states, never
-/// coverage accounting).
+/// activity, the host time of each phase, plus the transition-kind
+/// universe (first word of every generated label, *including* labels
+/// pruned by the partial-order reduction — reduction saves stored and
+/// expanded states, never coverage accounting).
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// Distinct stored states (canonical representatives).
@@ -132,6 +235,10 @@ pub struct ExploreReport {
     pub depth: usize,
     /// Wall-clock seconds spent.
     pub seconds: f64,
+    /// Host seconds in the parallel expand phase, summed over levels.
+    pub expand_seconds: f64,
+    /// Host seconds in the sequential merge phase, summed over levels.
+    pub merge_seconds: f64,
     /// Whether the EF-quiescence progress check ran and passed.
     pub progress_checked: bool,
     /// Worker threads used.
@@ -146,6 +253,23 @@ pub struct ExploreReport {
     pub kinds: BTreeSet<String>,
 }
 
+/// One taken successor as a worker hands it to the merge phase.
+enum Succ<S> {
+    /// Already in the frozen store (and not due for an audit): the id is
+    /// all the merge needs.
+    Known(u32),
+    /// Absent from the frozen store, or a frozen-store hit on the audit
+    /// stripe: the label (moved out of the model's output), canonical
+    /// state, fingerprint, and the invariant error if the worker found
+    /// one (only evaluated for states absent from the frozen store).
+    Full {
+        label: String,
+        state: S,
+        fp: u128,
+        inv_err: Option<String>,
+    },
+}
+
 /// One frontier state's expansion, produced by a worker against the
 /// frozen store and folded in deterministically by the merge phase.
 struct Expansion<S> {
@@ -157,24 +281,26 @@ struct Expansion<S> {
     reduced: bool,
     /// Successors pruned by the reduction.
     pruned: u32,
-    /// Kind (label head) of every generated successor, pruned included.
-    kind_heads: Vec<String>,
-    /// Taken successors in generation order: label, canonical state,
-    /// fingerprint, and the invariant error if the worker found one
-    /// (only evaluated for states absent from the frozen store).
-    taken: Vec<(String, S, u128, Option<String>)>,
+    /// Kinds (label heads) of generated successors, pruned included,
+    /// that the level's frozen kind set lacks; deduplicated.
+    new_kinds: Vec<String>,
+    /// Taken successors in generation order.
+    taken: Vec<Succ<S>>,
 }
 
-/// Expands one frontier state against the frozen store.
+/// Expands frontier state `id` against the frozen store and kind set;
+/// `succs` is a reused buffer.
 fn expand<M: Model>(
     model: &M,
     store: &FpStore,
+    kinds: &BTreeSet<String>,
     opts: &CheckOptions,
     id: u32,
     s: &M::State,
+    succs: &mut Vec<(String, M::State)>,
 ) -> Expansion<M::State> {
-    let mut succs = Vec::new();
-    model.successors(s, &mut succs);
+    succs.clear();
+    model.successors(s, succs);
     let quiescent = model.is_quiescent(s);
     if succs.is_empty() && !quiescent {
         return Expansion {
@@ -183,88 +309,97 @@ fn expand<M: Model>(
             deadlock: Some(format!("{s:?}")),
             reduced: false,
             pruned: 0,
-            kind_heads: Vec::new(),
+            new_kinds: Vec::new(),
             taken: Vec::new(),
         };
     }
 
-    let mut kind_heads: BTreeSet<String> = BTreeSet::new();
-    for (label, _) in &succs {
-        kind_heads.insert(label.split_whitespace().next().unwrap_or("").to_string());
-    }
+    let mut heads: Vec<&str> = succs
+        .iter()
+        .map(|(label, _)| kind_head(label))
+        .filter(|h| !kinds.contains(*h))
+        .collect();
+    heads.sort_unstable();
+    heads.dedup();
+    let new_kinds = heads.into_iter().map(str::to_string).collect();
 
-    // Canonicalize + fingerprint lazily (ample selection may avoid the
-    // work for pruned successors).
-    let canon_fp = |t: &M::State| -> (M::State, u128) {
+    // Canonical form (moved through when symmetry is off) and
+    // fingerprint of a successor.
+    let canon_fp = |t: M::State| {
         let c = if opts.symmetry {
             model.canonicalize(t)
         } else {
-            t.clone()
+            t
         };
         let fp = fingerprint(&c);
         (c, fp)
     };
 
-    // Ample-set selection: for each declared class (ascending id), take
-    // its members alone iff (C1/C2, via the model's class promise plus a
-    // mechanical footprint check) no co-enabled non-member conflicts
-    // with the class, and (C3, cycle proviso) at least one member leads
-    // out of the frozen store — i.e. to a state expanded at a strictly
-    // later level, so deferred actions cannot be postponed forever
-    // around a cycle.
-    type Canon<S> = Vec<(S, u128)>;
-    let mut ample: Option<(Vec<usize>, Canon<M::State>)> = None;
-    if opts.por && succs.len() > 1 {
-        let metas: Vec<ActionMeta> = succs
-            .iter()
-            .map(|(label, _)| model.action_meta(s, label))
-            .collect();
+    let n = succs.len();
+    let (labels, mut raw): (Vec<String>, Vec<Option<M::State>>) =
+        succs.drain(..).map(|(l, t)| (l, Some(t))).unzip();
+    // Canonical forms computed during ample selection, kept so no
+    // successor is canonicalized twice.
+    let mut canon: Vec<Option<(M::State, u128)>> = (0..n).map(|_| None).collect();
+
+    // Ample-set selection: for each declared class (ascending id),
+    // take its members alone iff (C1/C2, via the model's class
+    // promise plus a mechanical footprint check) no co-enabled
+    // non-member conflicts with the class, and (C3, cycle proviso)
+    // at least one member leads out of the frozen store — i.e. to a
+    // state expanded at a strictly later level, so deferred actions
+    // cannot be postponed forever around a cycle.
+    let mut ample: Option<Vec<usize>> = None;
+    if opts.por && n > 1 {
+        let metas: Vec<ActionMeta> = labels.iter().map(|l| model.action_meta(s, l)).collect();
         let classes: BTreeSet<u32> = metas.iter().filter_map(|m| m.class).collect();
         'class: for c in classes {
-            let members: Vec<usize> = (0..succs.len())
-                .filter(|&i| metas[i].class == Some(c))
-                .collect();
-            if members.len() == succs.len() {
+            let members: Vec<usize> = (0..n).filter(|&i| metas[i].class == Some(c)).collect();
+            if members.len() == n {
                 continue; // no reduction to be had
             }
             let combined = members.iter().fold(ActionMeta::rw(0, 0), |acc, &i| {
                 ActionMeta::rw(acc.reads | metas[i].reads, acc.writes | metas[i].writes)
             });
-            for (i, meta) in metas.iter().enumerate() {
-                if metas[i].class != Some(c) && combined.dependent(meta) {
+            for meta in &metas {
+                if meta.class != Some(c) && combined.dependent(meta) {
                     continue 'class;
                 }
             }
-            let canon: Vec<(M::State, u128)> =
-                members.iter().map(|&i| canon_fp(&succs[i].1)).collect();
-            if canon.iter().any(|(_, fp)| store.get(*fp).is_none()) {
-                ample = Some((members, canon));
+            let leaves_store = members.iter().any(|&i| {
+                let (_, fp) = canon[i]
+                    .get_or_insert_with(|| canon_fp(raw[i].take().expect("canonicalized once")));
+                store.get(*fp).is_none()
+            });
+            if leaves_store {
+                ample = Some(members);
                 break;
             }
         }
     }
+    let pruned = ample.as_ref().map_or(0, |m| (n - m.len()) as u32);
 
-    let (taken_idx, canon): (Vec<usize>, Vec<(M::State, u128)>) = match ample {
-        Some(v) => v,
-        None => {
-            let idx: Vec<usize> = (0..succs.len()).collect();
-            let canon = succs.iter().map(|(_, t)| canon_fp(t)).collect();
-            (idx, canon)
-        }
-    };
-    let reduced = taken_idx.len() < succs.len();
-    let pruned = (succs.len() - taken_idx.len()) as u32;
-
-    let taken = taken_idx
+    let audit = opts.collision_audit;
+    let taken = labels
         .into_iter()
-        .zip(canon)
-        .map(|(i, (c, fp))| {
-            let inv_err = if store.get(fp).is_none() {
-                model.invariant(&c).err()
-            } else {
-                None
-            };
-            (succs[i].0.clone(), c, fp, inv_err)
+        .zip(raw.into_iter().zip(canon))
+        .enumerate()
+        .filter(|(i, _)| ample.as_ref().is_none_or(|m| m.binary_search(i).is_ok()))
+        .map(|(_, (label, (t, c)))| {
+            let (state, fp) = c.unwrap_or_else(|| canon_fp(t.expect("raw until canonicalized")));
+            match store.get(fp) {
+                Some(known) if !(audit && on_audit_stripe(fp)) => Succ::Known(known),
+                hit => Succ::Full {
+                    inv_err: if hit.is_none() {
+                        model.invariant(&state).err()
+                    } else {
+                        None
+                    },
+                    label,
+                    state,
+                    fp,
+                },
+            }
         })
         .collect();
 
@@ -272,9 +407,9 @@ fn expand<M: Model>(
         id,
         quiescent,
         deadlock: None,
-        reduced,
+        reduced: pruned > 0,
         pruned,
-        kind_heads: kind_heads.into_iter().collect(),
+        new_kinds,
         taken,
     }
 }
@@ -310,15 +445,18 @@ where
     };
 
     let mut store = FpStore::new();
-    // Full canonical states retained on the audit stripe (fp low nibble
-    // zero, 1/16 of states) when collision auditing is on.
-    let mut stripe: HashMap<u128, M::State> = HashMap::new();
+    // Full canonical states retained on the audit stripe when collision
+    // auditing is on.
+    let mut stripe: FpMap<M::State> = FpMap::default();
     let mut audited: u64 = 0;
     // Per-id data. Labels are interned: the parent chain stores (parent
-    // id, label index); roots are self-parented.
+    // id, label index); roots are self-parented. The explored graph is
+    // kept in CSR form: state `u`'s successors are
+    // `edge_to[edge_start[u]..edge_start[u + 1]]`.
     let mut fps: Vec<u128> = Vec::new();
     let mut parent: Vec<(u32, u32)> = Vec::new();
-    let mut edges: Vec<Vec<u32>> = Vec::new();
+    let mut edge_start: Vec<usize> = Vec::new();
+    let mut edge_to: Vec<u32> = Vec::new();
     let mut quiescent: Vec<bool> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     let mut label_ids: HashMap<String, u32> = HashMap::new();
@@ -328,6 +466,8 @@ where
     let mut depth = 0usize;
     let mut por_states_reduced = 0usize;
     let mut por_pruned: u64 = 0;
+    let mut expand_seconds = 0.0;
+    let mut merge_seconds = 0.0;
 
     let mut frontier: Vec<(u32, M::State)> = Vec::new();
     for s in model.initial() {
@@ -339,7 +479,7 @@ where
             }));
         }
         let c = if opts.symmetry {
-            model.canonicalize(&s)
+            model.canonicalize(s)
         } else {
             s
         };
@@ -349,9 +489,8 @@ where
             store.insert(fp, id);
             fps.push(fp);
             parent.push((id, u32::MAX));
-            edges.push(Vec::new());
             quiescent.push(false);
-            if opts.collision_audit && fp & 0xF == 0 {
+            if opts.collision_audit && on_audit_stripe(fp) {
                 stripe.insert(fp, c.clone());
             }
             frontier.push((id, c));
@@ -374,6 +513,7 @@ where
         // Fan the level out in deterministic batches: the pool claims
         // batches dynamically but returns results in submission order,
         // so the merge below is schedule-independent.
+        let phase = Instant::now();
         let batch = (frontier.len() / (workers.max(1) * 8)).clamp(1, 1024);
         let level: Vec<Vec<(u32, M::State)>> = {
             let mut batches = Vec::new();
@@ -384,14 +524,17 @@ where
             batches
         };
         let results: Vec<Vec<Expansion<M::State>>> = par_map_threads(level, workers, |chunk| {
+            let mut succs = Vec::new();
             chunk
                 .iter()
-                .map(|(id, s)| expand(model, &store, opts, *id, s))
+                .map(|(id, s)| expand(model, &store, &kinds, opts, *id, s, &mut succs))
                 .collect()
         });
+        expand_seconds += phase.elapsed().as_secs_f64();
 
         // Sequential merge in frontier order, successors in generation
         // order — exactly the order the sequential BFS discovers them.
+        let phase = Instant::now();
         let mut next: Vec<(u32, M::State)> = Vec::new();
         for exp in results.into_iter().flatten() {
             let id = exp.id;
@@ -407,86 +550,84 @@ where
                 por_states_reduced += 1;
                 por_pruned += u64::from(exp.pruned);
             }
-            kinds.extend(exp.kind_heads);
-            for (label, c, fp, inv_err) in exp.taken {
+            kinds.extend(exp.new_kinds);
+            // Ids are expanded in increasing order, so each state's
+            // edges form one contiguous run.
+            debug_assert_eq!(edge_start.len(), id as usize, "merge out of id order");
+            edge_start.push(edge_to.len());
+            for succ in exp.taken {
                 transitions += 1;
-                let t_id = match store.get(fp) {
-                    Some(i) => {
-                        if let Some(full) = stripe.get(&fp) {
+                let t_id = match succ {
+                    Succ::Known(i) => i,
+                    Succ::Full {
+                        label,
+                        state,
+                        fp,
+                        inv_err,
+                    } => match store.get(fp) {
+                        Some(i) => {
+                            if let Some(full) = stripe.get(&fp) {
+                                assert!(
+                                    *full == state,
+                                    "fingerprint collision: distinct states share {fp:#034x}"
+                                );
+                                audited += 1;
+                            }
+                            i
+                        }
+                        None => {
+                            if let Some(m) = inv_err {
+                                let mut trace = trace_to(id, &parent, &labels);
+                                trace.push(label);
+                                return Err(Box::new(Violation {
+                                    message: m,
+                                    trace,
+                                    state: format!("{state:?}"),
+                                }));
+                            }
+                            let i = fps.len() as u32;
                             assert!(
-                                *full == c,
-                                "fingerprint collision: distinct states share {fp:#034x}"
+                                (i as usize) < opts.max_states,
+                                "state space exceeded {} states",
+                                opts.max_states
                             );
-                            audited += 1;
+                            let l = match label_ids.get(&label) {
+                                Some(&l) => l,
+                                None => {
+                                    let l = labels.len() as u32;
+                                    labels.push(label.clone());
+                                    label_ids.insert(label, l);
+                                    l
+                                }
+                            };
+                            store.insert(fp, i);
+                            fps.push(fp);
+                            parent.push((id, l));
+                            quiescent.push(false);
+                            if opts.collision_audit && on_audit_stripe(fp) {
+                                stripe.insert(fp, state.clone());
+                            }
+                            next.push((i, state));
+                            i
                         }
-                        i
-                    }
-                    None => {
-                        if let Some(m) = inv_err {
-                            let mut trace = trace_to(id, &parent, &labels);
-                            trace.push(label);
-                            return Err(Box::new(Violation {
-                                message: m,
-                                trace,
-                                state: format!("{c:?}"),
-                            }));
-                        }
-                        let i = fps.len() as u32;
-                        assert!(
-                            (i as usize) < opts.max_states,
-                            "state space exceeded {} states",
-                            opts.max_states
-                        );
-                        let l = *label_ids.entry(label).or_insert_with_key(|k| {
-                            labels.push(k.clone());
-                            (labels.len() - 1) as u32
-                        });
-                        store.insert(fp, i);
-                        fps.push(fp);
-                        parent.push((id, l));
-                        edges.push(Vec::new());
-                        quiescent.push(false);
-                        if opts.collision_audit && fp & 0xF == 0 {
-                            stripe.insert(fp, c.clone());
-                        }
-                        next.push((i, c));
-                        i
-                    }
+                    },
                 };
-                edges[id as usize].push(t_id);
+                edge_to.push(t_id);
             }
         }
+        merge_seconds += phase.elapsed().as_secs_f64();
         if !next.is_empty() {
             depth += 1;
         }
         frontier = next;
     }
+    edge_start.push(edge_to.len());
 
     // Progress: every state can reach a quiescent state (EF quiescence),
     // via backward reachability — same algorithm as the sequential
     // checker, over the (possibly reduced) explored graph.
     if opts.check_progress {
-        let n = fps.len();
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (u, outs) in edges.iter().enumerate() {
-            for &v in outs {
-                rev[v as usize].push(u as u32);
-            }
-        }
-        let mut ok = vec![false; n];
-        let mut stack: Vec<u32> = (0..n as u32).filter(|&i| quiescent[i as usize]).collect();
-        for &i in &stack {
-            ok[i as usize] = true;
-        }
-        while let Some(u) = stack.pop() {
-            for &v in &rev[u as usize] {
-                if !ok[v as usize] {
-                    ok[v as usize] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        if let Some(bad) = (0..n as u32).find(|&i| !ok[i as usize]) {
+        if let Some(bad) = first_stuck(&edge_start, &edge_to, &quiescent) {
             let trace = trace_to(bad, &parent, &labels);
             let state = replay_state(model, opts, &trace, &fps, bad, &parent)
                 .unwrap_or_else(|| "<state not reconstructed>".into());
@@ -503,6 +644,8 @@ where
         transitions,
         depth,
         seconds: start.elapsed().as_secs_f64(),
+        expand_seconds,
+        merge_seconds,
         progress_checked: opts.check_progress,
         workers,
         por_states_reduced,
@@ -533,17 +676,17 @@ fn replay_state<M: Model>(
     }
     path.reverse(); // root .. bad, one id per trace step plus the root
     let root = path[0];
-    let canon = |s: &M::State| {
+    let canon = |s: M::State| {
         if opts.symmetry {
             model.canonicalize(s)
         } else {
-            s.clone()
+            s
         }
     };
     let mut state = model
         .initial()
         .into_iter()
-        .map(|s| canon(&s))
+        .map(canon)
         .find(|c| fingerprint(c) == fps[root as usize])?;
     let mut succs = Vec::new();
     for (label, &next_id) in trace.iter().zip(&path[1..]) {
@@ -552,7 +695,7 @@ fn replay_state<M: Model>(
         state = succs
             .drain(..)
             .filter(|(l, _)| l == label)
-            .map(|(_, t)| canon(&t))
+            .map(|(_, t)| canon(t))
             .find(|c| fingerprint(c) == fps[next_id as usize])?;
     }
     Some(format!("{state:?}"))
@@ -605,6 +748,28 @@ mod tests {
         let b = fingerprint(&2u64);
         assert_ne!(a >> 64, b >> 64);
         assert_ne!(a as u64, b as u64);
+        // Structural boundaries: where one field ends and the next
+        // begins must reach the hash.
+        assert_ne!(
+            fingerprint(&vec![vec![1u8], vec![]]),
+            fingerprint(&vec![vec![], vec![1u8]])
+        );
+        assert_ne!(fingerprint(&(0u8, 1u8)), fingerprint(&(1u8, 0u8)));
+        assert_ne!(fingerprint(&Some(0u8)), fingerprint(&None::<u8>));
+        assert_ne!(fingerprint(&Vec::<u8>::new()), fingerprint(&vec![0u8]));
+        assert_ne!(fingerprint("a"), fingerprint("a\0"));
+        // 10 000 distinct short byte vectors: 0–2 zero bytes of padding
+        // (the count of leading zeros) before the minimal big-endian
+        // bytes of a value (which never start with zero).
+        let small: Vec<Vec<u8>> = (0u32..10_000)
+            .map(|i| {
+                let mut v = vec![0u8; (i % 3) as usize];
+                v.extend((i / 3).to_be_bytes().into_iter().skip_while(|&b| b == 0));
+                v
+            })
+            .collect();
+        let fps: std::collections::HashSet<u128> = small.iter().map(fingerprint).collect();
+        assert_eq!(fps.len(), 10_000);
     }
 
     #[test]
@@ -684,6 +849,75 @@ mod tests {
         assert_eq!(v.state, "1", "replay must reconstruct the bad state");
     }
 
+    /// A livelock whose cycle closes only through edges to states
+    /// already in the frozen store: (0,0) -go-> (0,1) -spin-> (1,1)
+    /// -spin-> (1,2) -spin-> (0,1), plus a quiescent exit from the root.
+    /// Successors are generated sorted, so the symmetry quotient is the
+    /// identity on reachable states and counts match the sequential
+    /// checker; every action is opaque, so POR never prunes.
+    struct KnownCycle;
+    impl Model for KnownCycle {
+        type State = (u8, u8);
+        fn initial(&self) -> Vec<(u8, u8)> {
+            vec![(0, 0)]
+        }
+        fn successors(&self, s: &(u8, u8), out: &mut Vec<(String, (u8, u8))>) {
+            match *s {
+                (0, 0) => {
+                    out.push(("go".into(), (0, 1)));
+                    out.push(("halt".into(), (9, 9)));
+                }
+                (0, 1) => out.push(("spin a".into(), (1, 1))),
+                (1, 1) => {
+                    out.push(("spin b".into(), (1, 2)));
+                    out.push(("stay".into(), (1, 1)));
+                }
+                (1, 2) => out.push(("spin c".into(), (0, 1))),
+                _ => {}
+            }
+        }
+        fn invariant(&self, _: &(u8, u8)) -> Result<(), String> {
+            Ok(())
+        }
+        fn is_quiescent(&self, s: &(u8, u8)) -> bool {
+            *s == (9, 9)
+        }
+        fn canonicalize(&self, s: (u8, u8)) -> (u8, u8) {
+            (s.0.min(s.1), s.0.max(s.1))
+        }
+    }
+
+    #[test]
+    fn livelock_closed_by_known_edges_is_found_and_replayed() {
+        let opts = CheckOptions {
+            symmetry: true,
+            por: true,
+            workers: 2,
+            ..CheckOptions::default()
+        };
+        let seq = check(&KnownCycle, &CheckOptions::default()).unwrap_err();
+        let par = check_parallel(&KnownCycle, &opts).unwrap_err();
+        assert!(par.message.contains("progress"), "{}", par.message);
+        assert_eq!(par.trace, seq.trace);
+        assert_eq!(
+            par.state, seq.state,
+            "replay must reconstruct the bad state"
+        );
+        assert_eq!(par.state, "(0, 1)");
+
+        let no_progress = |o: CheckOptions| CheckOptions {
+            check_progress: false,
+            ..o
+        };
+        let seq = check(&KnownCycle, &no_progress(CheckOptions::default())).unwrap();
+        let par = check_parallel(&KnownCycle, &no_progress(opts)).unwrap();
+        assert_eq!((par.states, par.transitions, par.depth), (5, 6, 3));
+        assert_eq!(
+            (par.states, par.transitions, par.depth),
+            (seq.states, seq.transitions, seq.depth)
+        );
+    }
+
     #[test]
     #[should_panic(expected = "state space exceeded")]
     fn parallel_respects_state_budget() {
@@ -725,7 +959,7 @@ mod tests {
         fn is_quiescent(&self, _: &(u8, u8)) -> bool {
             true
         }
-        fn canonicalize(&self, s: &(u8, u8)) -> (u8, u8) {
+        fn canonicalize(&self, s: (u8, u8)) -> (u8, u8) {
             (s.0.min(s.1), s.0.max(s.1))
         }
     }
@@ -870,5 +1104,52 @@ mod tests {
         let dedup_hits = r.transitions - (r.states as u64 - 1);
         assert!(dedup_hits > 500, "grid must reconverge heavily");
         assert!(r.audited > 0, "audit stripe must see dedup hits");
+    }
+
+    /// A 4096-state ring with long jumps: most dedup hits land on
+    /// states stored at earlier levels, i.e. in the frozen store.
+    struct Jumps;
+    impl Model for Jumps {
+        type State = u16;
+        fn initial(&self) -> Vec<u16> {
+            vec![0]
+        }
+        fn successors(&self, s: &u16, out: &mut Vec<(String, u16)>) {
+            out.push(("next".into(), (s + 1) % 4096));
+            out.push(("jump".into(), (s * 7 + 3) % 4096));
+        }
+        fn invariant(&self, _: &u16) -> Result<(), String> {
+            Ok(())
+        }
+        fn is_quiescent(&self, _: &u16) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn audit_checks_every_dedup_hit_on_the_stripe() {
+        let r = check_parallel(
+            &Jumps,
+            &CheckOptions {
+                collision_audit: true,
+                workers: 2,
+                ..CheckOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(r.states, 4096);
+        // Every transition into a stripe state is a dedup hit, except
+        // the one that discovered it.
+        let on_stripe = |t: u16| on_audit_stripe(fingerprint(&t));
+        let mut succs = Vec::new();
+        let mut into_stripe = 0u64;
+        for s in 0..4096u16 {
+            succs.clear();
+            Jumps.successors(&s, &mut succs);
+            into_stripe += succs.iter().filter(|(_, t)| on_stripe(*t)).count() as u64;
+        }
+        let discovered = (1..4096u16).filter(|&t| on_stripe(t)).count() as u64;
+        assert!(discovered > 100, "the stripe holds about 1/16 of states");
+        assert_eq!(r.audited, into_stripe - discovered);
     }
 }

@@ -984,18 +984,20 @@ impl Model for TokenModel {
     /// priority (`dist_active`/`arb_known`), so a relabelled state can
     /// take different transitions — there the canonical form is the
     /// identity. See DESIGN.md §17.
-    fn canonicalize(&self, s: &TState) -> TState {
+    fn canonicalize(&self, s: TState) -> TState {
         if self.p.mode != SubstrateMode::SafetyOnly {
-            return s.clone();
+            return s;
         }
-        let mut best = s.clone();
+        // The original stays the candidate until a permutation beats
+        // it; the original itself is never cloned.
+        let mut best: Option<TState> = None;
         for perm in permutations(self.p.caches).into_iter().skip(1) {
-            let t = self.permute(s, &perm);
-            if t < best {
-                best = t;
+            let t = self.permute(&s, &perm);
+            if t < *best.as_ref().unwrap_or(&s) {
+                best = Some(t);
             }
         }
-        best
+        best.unwrap_or(s)
     }
 
     /// Footprints over the resource universe: bit *i* = node *i* (its

@@ -208,7 +208,7 @@ impl Model for PlantedToken {
     fn is_quiescent(&self, s: &Self::State) -> bool {
         self.0.is_quiescent(s)
     }
-    fn canonicalize(&self, s: &Self::State) -> Self::State {
+    fn canonicalize(&self, s: Self::State) -> Self::State {
         self.0.canonicalize(s)
     }
     fn action_meta(&self, s: &Self::State, label: &str) -> ActionMeta {
@@ -235,7 +235,7 @@ impl Model for PlantedDir {
     fn is_quiescent(&self, s: &Self::State) -> bool {
         self.0.is_quiescent(s)
     }
-    fn canonicalize(&self, s: &Self::State) -> Self::State {
+    fn canonicalize(&self, s: Self::State) -> Self::State {
         self.0.canonicalize(s)
     }
     fn action_meta(&self, s: &Self::State, label: &str) -> ActionMeta {
@@ -323,11 +323,11 @@ impl Model for ConflatingSym {
     fn is_quiescent(&self, _: &(u8, u8)) -> bool {
         true
     }
-    fn canonicalize(&self, s: &(u8, u8)) -> (u8, u8) {
+    fn canonicalize(&self, s: (u8, u8)) -> (u8, u8) {
         if self.broken {
             (s.0, 0) // conflates (x, y) with (x, 0): unsound
         } else {
-            *s
+            s
         }
     }
 }

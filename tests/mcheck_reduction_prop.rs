@@ -74,10 +74,9 @@ impl Model for PourModel {
 
     /// Nodes are exchangeable: both actions are uniform over `i` and the
     /// invariant never looks at them. Sorting picks the orbit minimum.
-    fn canonicalize(&self, s: &PourState) -> PourState {
-        let mut t = s.clone();
-        t.nodes.sort_unstable();
-        t
+    fn canonicalize(&self, mut s: PourState) -> PourState {
+        s.nodes.sort_unstable();
+        s
     }
 
     fn action_meta(&self, _: &PourState, label: &str) -> ActionMeta {
