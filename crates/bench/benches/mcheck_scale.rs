@@ -25,7 +25,6 @@
 //! identical to the sequential baseline — the bench doubles as a
 //! determinism check on whatever host it runs on.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use tokencmp::mcheck::{
@@ -34,16 +33,10 @@ use tokencmp::mcheck::{
 };
 use tokencmp::sweep::json::Value;
 use tokencmp_bench::banner;
-use tokencmp_bench::mcheck::{
-    append, check_speedup, trajectory_path, validate_file, McheckBenchEntry,
-};
+use tokencmp_bench::mcheck::{check_speedup, McheckBenchEntry};
+use tokencmp_bench::trajectory::{self, Record};
 
-/// One measured row plus the data the scaling table needs.
-struct Row {
-    entry: McheckBenchEntry,
-}
-
-fn seq_entry<M>(run: &str, config: &str, model: &M) -> Row
+fn seq_entry<M>(run: &str, config: &str, model: &M) -> McheckBenchEntry
 where
     M: Model + Sync,
     M::State: Send + Sync,
@@ -51,17 +44,15 @@ where
     let r = check(model, &CheckOptions::default()).unwrap_or_else(|v| {
         panic!("{config}: sequential check must pass: {v}");
     });
-    Row {
-        entry: McheckBenchEntry::measured(
-            run,
-            config,
-            "seq".into(),
-            r.states as u64,
-            r.transitions,
-            Duration::from_secs_f64(r.seconds.max(1e-9)),
-            1,
-        ),
-    }
+    McheckBenchEntry::measured(
+        run,
+        config,
+        "seq".into(),
+        r.states as u64,
+        r.transitions,
+        Duration::from_secs_f64(r.seconds.max(1e-9)),
+        1,
+    )
 }
 
 fn par_entry<M>(
@@ -72,7 +63,7 @@ fn par_entry<M>(
     symmetry: bool,
     por: bool,
     seq_states: u64,
-) -> Row
+) -> McheckBenchEntry
 where
     M: Model + Sync,
     M::State: Send + Sync,
@@ -92,31 +83,34 @@ where
             "{config}: reductions-off parallel run diverged from sequential"
         );
     }
-    Row {
-        entry: McheckBenchEntry::measured(
-            run,
-            config,
-            McheckBenchEntry::par_bench_name(workers, symmetry, por),
-            r.states as u64,
-            r.transitions,
-            Duration::from_secs_f64(r.seconds.max(1e-9)),
-            r.workers as u64,
-        )
-        .with_phases(r.expand_seconds, r.merge_seconds),
-    }
+    McheckBenchEntry::measured(
+        run,
+        config,
+        McheckBenchEntry::par_bench_name(workers, symmetry, por),
+        r.states as u64,
+        r.transitions,
+        Duration::from_secs_f64(r.seconds.max(1e-9)),
+        r.workers as u64,
+    )
+    .with_phases(r.expand_seconds, r.merge_seconds)
 }
 
 /// Measures one configuration: the sequential baseline, a reductions-off
 /// parallel run per worker count (determinism + scaling), and a fully
 /// reduced run per worker count (the production shape).
-fn measure_config<M>(run: &str, config: &str, model: &M, workers: &[usize], rows: &mut Vec<Row>)
-where
+fn measure_config<M>(
+    run: &str,
+    config: &str,
+    model: &M,
+    workers: &[usize],
+    rows: &mut Vec<McheckBenchEntry>,
+) where
     M: Model + Sync,
     M::State: Send + Sync,
 {
     eprintln!("  measuring {config} ...");
     let seq = seq_entry(run, config, model);
-    let seq_states = seq.entry.states;
+    let seq_states = seq.states;
     rows.push(seq);
     for &w in workers {
         rows.push(par_entry(run, config, model, w, false, false, seq_states));
@@ -124,15 +118,14 @@ where
     }
 }
 
-fn print_table(rows: &[Row]) {
+fn print_table(rows: &[McheckBenchEntry]) {
     println!(
         "{:<28} {:<16} {:>10} {:>12} {:>12} {:>9} {:>9} {:>9}",
         "config", "bench", "states", "transitions", "states/sec", "vs seq", "expand s", "merge s"
     );
     let secs = |x: Option<f64>| x.map_or("-".to_string(), |s| format!("{s:.3}"));
     let mut seq_rate = 0.0;
-    for r in rows {
-        let e = &r.entry;
+    for e in rows {
         if e.bench == "seq" {
             seq_rate = e.states_per_sec;
         }
@@ -152,32 +145,25 @@ fn print_table(rows: &[Row]) {
 
 /// The scaling-table artifact CI uploads: one object per measured row,
 /// with the speedup against the same configuration's sequential rate.
-fn export_scaling_table(rows: &[Row]) {
-    let mut arr = Vec::new();
+fn export_scaling_table(rows: &[McheckBenchEntry]) {
     let seq_rate = |config: &str| {
         rows.iter()
-            .find(|r| r.entry.config == config && r.entry.bench == "seq")
-            .map(|r| r.entry.states_per_sec)
+            .find(|e| e.config == config && e.bench == "seq")
+            .map(|e| e.states_per_sec)
     };
-    for r in rows {
-        let e = &r.entry;
-        let mut obj = std::collections::BTreeMap::from([
-            ("config".to_string(), Value::Str(e.config.clone())),
-            ("bench".to_string(), Value::Str(e.bench.clone())),
-            ("states".to_string(), Value::Int(e.states)),
-            ("transitions".to_string(), Value::Int(e.transitions)),
-            ("states_per_sec".to_string(), Value::Float(e.states_per_sec)),
-            ("workers".to_string(), Value::Int(e.workers)),
-            ("host_cores".to_string(), Value::Int(e.host_cores)),
-        ]);
-        if let Some(base) = seq_rate(&e.config) {
-            obj.insert(
-                "speedup_vs_seq".to_string(),
-                Value::Float(e.states_per_sec / base),
-            );
-        }
-        arr.push(Value::Obj(obj));
-    }
+    let arr = rows
+        .iter()
+        .map(|e| {
+            let mut v = e.to_value();
+            if let (Value::Obj(obj), Some(base)) = (&mut v, seq_rate(&e.config)) {
+                obj.insert(
+                    "speedup_vs_seq".to_string(),
+                    Value::Float(e.states_per_sec / base),
+                );
+            }
+            v
+        })
+        .collect();
     match tokencmp::sweep::write_value("mcheck_scaling", &Value::Arr(arr)) {
         Ok(path) => println!("[sweep] wrote {}", path.display()),
         Err(e) => eprintln!("[sweep] export mcheck_scaling failed: {e}"),
@@ -185,74 +171,46 @@ fn export_scaling_table(rows: &[Row]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--bench")
-        .collect();
-    if args.first().map(String::as_str) == Some("--validate") {
-        let path = args
-            .get(1)
-            .map(PathBuf::from)
-            .unwrap_or_else(trajectory_path);
-        match validate_file(&path) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("BENCH_mcheck.json validation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
+    let inv = trajectory::invocation::<McheckBenchEntry>();
+    let run = &inv.run;
     banner(
         "mcheck_scale",
         "parallel explorer states/sec trajectory (infrastructure, not a paper figure)",
     );
-    let smoke = std::env::var("TOKENCMP_BENCH_SMOKE").is_ok();
-    let run = std::env::var("TOKENCMP_BENCH_RUN")
-        .unwrap_or_else(|_| if smoke { "smoke" } else { "dev" }.into());
-    let path = if smoke {
-        let p =
-            std::env::temp_dir().join(format!("BENCH_mcheck.smoke.{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    } else {
-        trajectory_path()
-    };
-    let workers: &[usize] = if smoke { &[2] } else { &[1, 2, 4] };
+    let workers: &[usize] = if inv.smoke { &[2] } else { &[1, 2, 4] };
 
     let mut rows = Vec::new();
     measure_config(
-        &run,
+        run,
         "small/SafetyOnly",
         &TokenModel::new(TokenModelParams::small(SubstrateMode::SafetyOnly)),
         workers,
         &mut rows,
     );
     measure_config(
-        &run,
+        run,
         "dir/small",
         &DirModel::new(DirModelParams::small()),
         workers,
         &mut rows,
     );
-    if !smoke {
+    if !inv.smoke {
         measure_config(
-            &run,
+            run,
             "small/Distributed",
             &TokenModel::new(TokenModelParams::small(SubstrateMode::Distributed)),
             workers,
             &mut rows,
         );
         measure_config(
-            &run,
+            run,
             "small/Arbiter",
             &TokenModel::new(TokenModelParams::small(SubstrateMode::Arbiter)),
             workers,
             &mut rows,
         );
         measure_config(
-            &run,
+            run,
             "small_recovery/SafetyOnly",
             &TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly)),
             workers,
@@ -266,31 +224,18 @@ fn main() {
             TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::Distributed));
         let config = "small_recovery/Distributed";
         eprintln!("  measuring {config} (flagship, ~70s) ...");
-        let seq = seq_entry(&run, config, &flagship);
-        let seq_states = seq.entry.states;
+        let seq = seq_entry(run, config, &flagship);
+        let seq_states = seq.states;
         rows.push(seq);
         let w = *workers.last().expect("worker list is never empty");
-        rows.push(par_entry(
-            &run, config, &flagship, w, true, true, seq_states,
-        ));
+        rows.push(par_entry(run, config, &flagship, w, true, true, seq_states));
     }
 
     print_table(&rows);
     export_scaling_table(&rows);
 
-    let fresh: Vec<McheckBenchEntry> = rows.into_iter().map(|r| r.entry).collect();
-    match append(&path, fresh.clone()) {
-        Ok(all) => println!(
-            "\nwrote {} ({} entries, run `{run}`)",
-            path.display(),
-            all.len()
-        ),
-        Err(e) => {
-            eprintln!("failed to write trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
-    match check_speedup(&fresh, &run) {
+    inv.append(rows.clone());
+    match check_speedup(&rows, run) {
         Ok(report) => print!("{report}"),
         Err(e) => {
             eprintln!("{e}");

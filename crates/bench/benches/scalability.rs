@@ -11,14 +11,14 @@
 //!    bytes per L1 miss for TokenCMP (grows with chip count) versus
 //!    DirectoryCMP (constant).
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use tokencmp::{
     run_workload, Fabric, LockingWorkload, MsgClass, Protocol, RunOptions, RunOutcome,
     SystemConfig, Tier, Variant,
 };
-use tokencmp_bench::scale::{self, ScaleBenchEntry};
+use tokencmp_bench::scale::ScaleBenchEntry;
+use tokencmp_bench::trajectory::{self, Invocation};
 use tokencmp_bench::{banner, BenchGrid};
 
 /// One scale-out grid point: fabric, chip count, cores and banks per
@@ -105,27 +105,15 @@ fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
 }
 
 /// Measures the scale-out grid and merges it into the trajectory file.
-fn run_scale_study(smoke: bool) {
-    let run = std::env::var("TOKENCMP_BENCH_RUN")
-        .unwrap_or_else(|_| if smoke { "smoke" } else { "dev" }.into());
-    // Smoke results land in a scratch file: CI exercises the full
-    // measure→merge→validate path without rewriting the committed
-    // trajectory with noisy, tiny-system numbers.
-    let path = if smoke {
-        let p = std::env::temp_dir().join(format!("BENCH_scale.smoke.{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    } else {
-        scale::trajectory_path()
-    };
+fn run_scale_study(inv: &Invocation) {
     println!("\nscale-out trajectory (TokenCMP-dst1, one lock per four cores):");
     println!(
         "{:>7} {:>6} {:>7} {:>10} {:>14} {:>14} {:>12}",
         "fabric", "chips", "cores", "events", "runtime (ps)", "events/sec", "wall (s)"
     );
     let mut fresh = Vec::new();
-    for p in scale_grid(smoke) {
-        let e = run_scale_point(&run, &p);
+    for p in scale_grid(inv.smoke) {
+        let e = run_scale_point(&inv.run, &p);
         println!(
             "{:>7} {:>6} {:>7} {:>10} {:>14} {:>14.3e} {:>12.1}",
             e.fabric,
@@ -138,39 +126,11 @@ fn run_scale_study(smoke: bool) {
         );
         fresh.push(e);
     }
-    match scale::append(&path, fresh) {
-        Ok(all) => println!(
-            "wrote {} ({} entries, run `{run}`)",
-            path.display(),
-            all.len()
-        ),
-        Err(e) => {
-            eprintln!("failed to write trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
+    inv.append(fresh);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--bench")
-        .collect();
-    if args.first().map(String::as_str) == Some("--validate") {
-        let path = args
-            .get(1)
-            .map(PathBuf::from)
-            .unwrap_or_else(scale::trajectory_path);
-        match scale::validate_file(&path) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("BENCH_scale.json validation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
+    let inv = trajectory::invocation::<ScaleBenchEntry>();
     banner(
         "Scalability & hierarchy ablations",
         "HPCA 2005 paper, §4 (TokenB unsuitability) and §8 (CMP-count scaling)",
@@ -179,8 +139,8 @@ fn main() {
     // Smoke mode measures only the (trimmed) scale-out grid — the three
     // paper studies below are full-size runs that CI exercises through
     // the committed trajectory, not by re-measuring.
-    if std::env::var("TOKENCMP_BENCH_SMOKE").is_ok() {
-        run_scale_study(true);
+    if inv.smoke {
+        run_scale_study(&inv);
         return;
     }
 
@@ -362,5 +322,5 @@ fn main() {
     );
 
     // --- 4. scale-out trajectory ---------------------------------------------------
-    run_scale_study(false);
+    run_scale_study(&inv);
 }

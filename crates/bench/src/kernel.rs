@@ -1,11 +1,6 @@
-//! The kernel events/sec trajectory (`BENCH_kernel.json`).
-//!
-//! Unlike the `target/sweep/` exports — regenerated scratch output — the
-//! kernel bench writes to a *committed* file at the repository root so
-//! successive PRs append comparable `(run, backend, bench)` records and
-//! the simulator's throughput history stays reviewable in diffs. This
-//! module owns the record model, the merge-with-replacement semantics
-//! and the schema validation CI runs.
+//! The kernel events/sec trajectory (`BENCH_kernel.json`): one record
+//! per `(run, backend, bench)` cell, stored and validated through
+//! [`crate::trajectory`].
 //!
 //! Schema (`tokencmp-kernel-bench-v1`):
 //!
@@ -22,7 +17,10 @@
 //! ```
 //!
 //! `bench` names are namespaced: `table3/<protocol>` is a full protocol
-//! run on the paper's Table 3 system. The two oldest runs also hold
+//! run on the paper's Table 3 system, and `layer/<name>` times one
+//! simulator structure in isolation (event queue, `SetAssoc`,
+//! `DistTable`, rng), with `events` counting that cell's operations and
+//! `ns_per_event` the time per operation. The two oldest runs also hold
 //! `churn/d<depth>` entries (a pure-queue hold-model microbench) and
 //! `wheel` entries, measured on a calendar timing wheel that has since
 //! been removed; they are kept as history and validated like every
@@ -30,15 +28,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use tokencmp::sim::SchedulerKind;
-use tokencmp::sweep::json::{parse, Value};
+use tokencmp::sweep::json::Value;
 
-/// Schema tag every trajectory file must carry.
-pub const SCHEMA: &str = "tokencmp-kernel-bench-v1";
+use crate::trajectory::{Fields, Record};
 
 /// Backend labels a trajectory entry may carry: the heap, and the
 /// removed timing wheel of the historical runs.
@@ -54,7 +49,8 @@ pub struct KernelBenchEntry {
     pub backend: String,
     /// Bench name (`table3/TokenCMP-dst1`, ...).
     pub bench: String,
-    /// Events processed during the timed section.
+    /// Events processed during the timed section (operations, for a
+    /// `layer/*` cell).
     pub events: u64,
     /// Wall time of the timed section.
     pub elapsed_ns: u64,
@@ -91,10 +87,14 @@ impl KernelBenchEntry {
         self.profile = profile;
         self
     }
+}
 
-    /// The replacement key: re-running a bench overwrites the same cell.
-    fn key(&self) -> (&str, &str, &str) {
-        (&self.run, &self.backend, &self.bench)
+impl Record for KernelBenchEntry {
+    const SCHEMA: &'static str = "tokencmp-kernel-bench-v1";
+    const FILE: &'static str = "BENCH_kernel.json";
+
+    fn same_cell(&self, o: &Self) -> bool {
+        (&self.run, &self.backend, &self.bench) == (&o.run, &o.backend, &o.bench)
     }
 
     fn to_value(&self) -> Value {
@@ -121,167 +121,59 @@ impl KernelBenchEntry {
         Value::Obj(obj)
     }
 
-    fn from_value(v: &Value, idx: usize) -> Result<KernelBenchEntry, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not a string"))
-        };
-        let int_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not an integer"))
-        };
-        let rate_field = |k: &str| {
-            let x = v
-                .get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not a number"))?;
-            if x.is_finite() && x > 0.0 {
-                Ok(x)
-            } else {
-                Err(format!("entry {idx}: `{k}` = {x} is not a positive rate"))
-            }
-        };
-        let backend = str_field("backend")?;
+    fn from_value(f: &Fields) -> Result<KernelBenchEntry, String> {
+        let backend = f.str("backend")?;
         if !BACKENDS.contains(&backend.as_str()) {
-            return Err(format!("entry {idx}: unknown backend `{backend}`"));
+            return Err(f.error(format_args!("unknown backend `{backend}`")));
         }
         let mut profile = BTreeMap::new();
-        match v.get("profile") {
-            None => {}
-            Some(p) => {
-                let obj = p
-                    .as_obj()
-                    .ok_or_else(|| format!("entry {idx}: `profile` is not an object"))?;
-                if obj.is_empty() {
-                    return Err(format!(
-                        "entry {idx}: empty `profile` object (omit the field instead)"
-                    ));
-                }
-                for (k, v) in obj {
-                    let ns = v.as_u64().ok_or_else(|| {
-                        format!("entry {idx}: profile `{k}` is not an integer ns count")
-                    })?;
-                    profile.insert(k.clone(), ns);
-                }
+        if let Some(p) = f.get("profile") {
+            let obj = p
+                .as_obj()
+                .ok_or_else(|| f.error("`profile` is not an object"))?;
+            if obj.is_empty() {
+                return Err(f.error("empty `profile` object (omit the field instead)"));
+            }
+            for (k, v) in obj {
+                let ns = v.as_u64().ok_or_else(|| {
+                    f.error(format_args!("profile `{k}` is not an integer ns count"))
+                })?;
+                profile.insert(k.clone(), ns);
             }
         }
         Ok(KernelBenchEntry {
-            run: str_field("run")?,
+            run: f.str("run")?,
             backend,
-            bench: str_field("bench")?,
-            events: int_field("events")?,
-            elapsed_ns: int_field("elapsed_ns")?,
-            events_per_sec: rate_field("events_per_sec")?,
-            ns_per_event: rate_field("ns_per_event")?,
+            bench: f.str("bench")?,
+            events: f.int("events")?,
+            elapsed_ns: f.int("elapsed_ns")?,
+            events_per_sec: f.rate("events_per_sec")?,
+            ns_per_event: f.rate("ns_per_event")?,
             profile,
         })
     }
-}
 
-/// The committed trajectory file: `<repo root>/BENCH_kernel.json`.
-pub fn trajectory_path() -> PathBuf {
-    // bench crate manifest dir is `<repo>/crates/bench`.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels under the repo root")
-        .join("BENCH_kernel.json")
-}
-
-/// Parses and schema-validates a trajectory file's text.
-pub fn parse_trajectory(text: &str) -> Result<Vec<KernelBenchEntry>, String> {
-    let root = parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    match root.get("schema").and_then(Value::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("schema `{s}` != expected `{SCHEMA}`")),
-        None => return Err("missing `schema` tag".into()),
-    }
-    let entries = root
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("missing `entries` array")?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, v)| KernelBenchEntry::from_value(v, i))
-        .collect()
-}
-
-/// Loads a trajectory file; a missing file is an empty trajectory.
-pub fn load(path: &Path) -> Result<Vec<KernelBenchEntry>, String> {
-    match fs::read_to_string(path) {
-        Ok(text) => parse_trajectory(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
-}
-
-/// Merges fresh measurements into an existing trajectory: an entry with
-/// the same `(run, backend, bench)` replaces the old record in place
-/// (re-running a bench updates its cell); new keys append in
-/// measurement order, so the file reads chronologically run by run.
-pub fn merge(
-    mut existing: Vec<KernelBenchEntry>,
-    fresh: Vec<KernelBenchEntry>,
-) -> Vec<KernelBenchEntry> {
-    for entry in fresh {
-        match existing.iter_mut().find(|e| e.key() == entry.key()) {
-            Some(slot) => *slot = entry,
-            None => existing.push(entry),
+    /// Summarises every recorded `(run, backend)`.
+    fn gate(entries: &[KernelBenchEntry]) -> Result<String, String> {
+        let mut runs: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+        for e in entries {
+            *runs
+                .entry((e.run.as_str(), e.backend.as_str()))
+                .or_default() += 1;
         }
+        let mut report = String::new();
+        for ((run, backend), n) in runs {
+            let _ = writeln!(report, "run `{run}` {backend}: {n} entries");
+        }
+        Ok(report)
     }
-    existing
-}
-
-/// Renders a trajectory: valid JSON, one entry per line so appending a
-/// run produces a line-per-record diff.
-pub fn render(entries: &[KernelBenchEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "\"schema\": {},", Value::Str(SCHEMA.into()));
-    out.push_str("\"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(out, "{}{sep}", e.to_value());
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Loads, merges, and writes back the trajectory at `path`.
-pub fn append(path: &Path, fresh: Vec<KernelBenchEntry>) -> Result<Vec<KernelBenchEntry>, String> {
-    let merged = merge(load(path)?, fresh);
-    fs::write(path, render(&merged)).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(merged)
-}
-
-/// CI entry point: schema-validate `path` and summarise every recorded
-/// run. An empty trajectory is an error: it proves nothing.
-pub fn validate_file(path: &Path) -> Result<String, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = parse_trajectory(&text)?;
-    if entries.is_empty() {
-        return Err("trajectory is empty".into());
-    }
-    let mut runs: BTreeMap<(&str, &str), usize> = BTreeMap::new();
-    for e in &entries {
-        *runs
-            .entry((e.run.as_str(), e.backend.as_str()))
-            .or_default() += 1;
-    }
-    let mut report = format!("{}: {} entries, schema ok\n", path.display(), entries.len());
-    for ((run, backend), n) in runs {
-        let _ = writeln!(report, "run `{run}` {backend}: {n} entries");
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::{merge, parse, render, validate_file};
+    use std::fs;
 
     fn entry(run: &str, backend: &str, bench: &str, eps: f64) -> KernelBenchEntry {
         KernelBenchEntry {
@@ -308,7 +200,7 @@ mod tests {
         let text = render(&entries);
         // The profile-free entry omits the field entirely.
         assert_eq!(text.matches("profile").count(), 1);
-        let parsed = parse_trajectory(&text).unwrap();
+        let parsed = parse::<KernelBenchEntry>(&text).unwrap();
         assert_eq!(parsed, entries);
     }
 
@@ -319,19 +211,25 @@ mod tests {
             {"run":"a","backend":"heap","bench":"table3/x","events":1,
              "elapsed_ns":1,"events_per_sec":1.0,"ns_per_event":1.0,
              "profile":[1,2]}]}"#;
-        assert!(parse_trajectory(bad).unwrap_err().contains("profile"));
+        assert!(parse::<KernelBenchEntry>(bad)
+            .unwrap_err()
+            .contains("profile"));
         // Non-integer category values are rejected.
         let bad = r#"{"schema":"tokencmp-kernel-bench-v1","entries":[
             {"run":"a","backend":"heap","bench":"table3/x","events":1,
              "elapsed_ns":1,"events_per_sec":1.0,"ns_per_event":1.0,
              "profile":{"sched.pop":"fast"}}]}"#;
-        assert!(parse_trajectory(bad).unwrap_err().contains("sched.pop"));
+        assert!(parse::<KernelBenchEntry>(bad)
+            .unwrap_err()
+            .contains("sched.pop"));
         // An empty profile object should have been omitted.
         let bad = r#"{"schema":"tokencmp-kernel-bench-v1","entries":[
             {"run":"a","backend":"heap","bench":"table3/x","events":1,
              "elapsed_ns":1,"events_per_sec":1.0,"ns_per_event":1.0,
              "profile":{}}]}"#;
-        assert!(parse_trajectory(bad).unwrap_err().contains("empty"));
+        assert!(parse::<KernelBenchEntry>(bad)
+            .unwrap_err()
+            .contains("empty"));
     }
 
     #[test]
@@ -348,17 +246,17 @@ mod tests {
                 "backend",
             ),
         ] {
-            let err = parse_trajectory(text).unwrap_err();
+            let err = parse::<KernelBenchEntry>(text).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
         // Unknown backend and non-positive rates are schema errors too.
         let mut bogus = entry("a", "heap", "churn/d8", 1e6);
         bogus.backend = "splay".into();
-        let err = parse_trajectory(&render(&[bogus])).unwrap_err();
+        let err = parse::<KernelBenchEntry>(&render(&[bogus])).unwrap_err();
         assert!(err.contains("splay"), "{err}");
         let mut zero = entry("a", "heap", "churn/d8", 1e6);
         zero.events_per_sec = 0.0;
-        let err = parse_trajectory(&render(&[zero])).unwrap_err();
+        let err = parse::<KernelBenchEntry>(&render(&[zero])).unwrap_err();
         assert!(err.contains("events_per_sec"), "{err}");
     }
 
@@ -388,11 +286,13 @@ mod tests {
             entry("new", "heap", "table3/dir", 1e6),
         ];
         fs::write(&path, render(&entries)).unwrap();
-        let report = validate_file(&path).unwrap();
+        let report = validate_file::<KernelBenchEntry>(&path).unwrap();
         assert!(report.contains("run `old` wheel: 1 entries"), "{report}");
         assert!(report.contains("run `new` heap: 1 entries"), "{report}");
-        fs::write(&path, render(&[])).unwrap();
-        assert!(validate_file(&path).unwrap_err().contains("empty"));
+        fs::write(&path, render::<KernelBenchEntry>(&[])).unwrap();
+        assert!(validate_file::<KernelBenchEntry>(&path)
+            .unwrap_err()
+            .contains("empty"));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,8 +1,8 @@
 //! The model-checking states/sec trajectory (`BENCH_mcheck.json`).
 //!
-//! Companion to [`crate::kernel`]: a *committed* trajectory file at the
-//! repository root recording what the parallel explorer is worth on
-//! each model configuration, run over run. Each record is one checker
+//! Companion to [`crate::kernel`], stored and validated through
+//! [`crate::trajectory`]: what the parallel explorer is worth on each
+//! model configuration, run over run. Each record is one checker
 //! invocation on one configuration — the sequential baseline (`seq`) or
 //! a parallel run named by its knobs (`par/w4`, `par/w4+sym+por`) — so
 //! diffs show the state-throughput history next to the kernel one.
@@ -27,6 +27,9 @@
 //! over BFS levels) are optional: entries recorded before they existed
 //! carry neither, and `seq` entries have no phases.
 //!
+//! A `par/w<N>...` name must carry the entry's worker count `N`, and a
+//! `seq` entry has one worker.
+//!
 //! The speedup gate is honest about hardware: `check_parallel` must hit
 //! ≥2x the same run's sequential states/sec **only** for entries
 //! measured with ≥4 workers on a host with ≥4 cores. Entries from
@@ -37,14 +40,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tokencmp::sweep::json::{parse, Value};
+use tokencmp::sweep::json::Value;
 
-/// Schema tag every trajectory file must carry.
-pub const SCHEMA: &str = "tokencmp-mcheck-bench-v1";
+use crate::trajectory::{Fields, Record};
 
 /// Workers/cores floor above which the 2x speedup gate applies.
 pub const GATE_MIN_CORES: u64 = 4;
@@ -125,10 +125,14 @@ impl McheckBenchEntry {
         }
         name
     }
+}
 
-    /// The replacement key: re-running a bench overwrites the same cell.
-    fn key(&self) -> (&str, &str, &str) {
-        (&self.run, &self.config, &self.bench)
+impl Record for McheckBenchEntry {
+    const SCHEMA: &'static str = "tokencmp-mcheck-bench-v1";
+    const FILE: &'static str = "BENCH_mcheck.json";
+
+    fn same_cell(&self, o: &Self) -> bool {
+        (&self.run, &self.config, &self.bench) == (&o.run, &o.config, &o.bench)
     }
 
     fn to_value(&self) -> Value {
@@ -154,137 +158,66 @@ impl McheckBenchEntry {
         Value::Obj(obj)
     }
 
-    fn from_value(v: &Value, idx: usize) -> Result<McheckBenchEntry, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not a string"))
+    fn from_value(f: &Fields) -> Result<McheckBenchEntry, String> {
+        let bench = f.str("bench")?;
+        let named_workers = if bench == "seq" {
+            1
+        } else {
+            let Some(knobs) = bench.strip_prefix("par/w") else {
+                return Err(f.error(format_args!(
+                    "bench `{bench}` is neither `seq` nor `par/w...`"
+                )));
+            };
+            let (n, reductions) = knobs.split_at(knobs.find('+').unwrap_or(knobs.len()));
+            if !matches!(reductions, "" | "+sym" | "+por" | "+sym+por") {
+                return Err(f.error(format_args!(
+                    "bench `{bench}` has reductions other than `+sym`, `+por`"
+                )));
+            }
+            n.parse::<u64>().map_err(|_| {
+                f.error(format_args!("bench `{bench}` does not name a worker count"))
+            })?
         };
-        let int_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not an integer"))
-        };
-        let bench = str_field("bench")?;
-        if bench != "seq" && !bench.starts_with("par/w") {
-            return Err(format!(
-                "entry {idx}: bench `{bench}` is neither `seq` nor `par/w...`"
-            ));
-        }
-        let rate = v
-            .get("states_per_sec")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("entry {idx}: `states_per_sec` missing or not a number"))?;
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err(format!(
-                "entry {idx}: `states_per_sec` = {rate} is not a positive rate"
-            ));
-        }
-        let workers = int_field("workers")?;
+        let states_per_sec = f.rate("states_per_sec")?;
+        let workers = f.int("workers")?;
         if workers == 0 {
-            return Err(format!("entry {idx}: `workers` must be >= 1"));
+            return Err(f.error("`workers` must be >= 1"));
         }
-        let host_cores = int_field("host_cores")?;
+        if workers != named_workers {
+            return Err(f.error(format_args!(
+                "bench `{bench}` implies {named_workers} workers but `workers` is {workers}"
+            )));
+        }
+        let host_cores = f.int("host_cores")?;
         if host_cores == 0 {
-            return Err(format!("entry {idx}: `host_cores` must be >= 1"));
+            return Err(f.error("`host_cores` must be >= 1"));
         }
-        let phase_field = |k: &str| match v.get(k) {
-            None => Ok(None),
-            Some(x) => match x.as_f64() {
-                Some(s) if s.is_finite() && s >= 0.0 => Ok(Some(s)),
-                _ => Err(format!(
-                    "entry {idx}: `{k}` is not a non-negative number of seconds"
-                )),
-            },
-        };
         Ok(McheckBenchEntry {
-            run: str_field("run")?,
-            config: str_field("config")?,
+            run: f.str("run")?,
+            config: f.str("config")?,
             bench,
-            states: int_field("states")?,
-            transitions: int_field("transitions")?,
-            elapsed_ns: int_field("elapsed_ns")?,
-            states_per_sec: rate,
+            states: f.int("states")?,
+            transitions: f.int("transitions")?,
+            elapsed_ns: f.int("elapsed_ns")?,
+            states_per_sec,
             workers,
             host_cores,
-            expand_seconds: phase_field("expand_seconds")?,
-            merge_seconds: phase_field("merge_seconds")?,
+            expand_seconds: f.seconds("expand_seconds")?,
+            merge_seconds: f.seconds("merge_seconds")?,
         })
     }
-}
 
-/// The committed trajectory file: `<repo root>/BENCH_mcheck.json`.
-pub fn trajectory_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels under the repo root")
-        .join("BENCH_mcheck.json")
-}
-
-/// Parses and schema-validates a trajectory file's text.
-pub fn parse_trajectory(text: &str) -> Result<Vec<McheckBenchEntry>, String> {
-    let root = parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    match root.get("schema").and_then(Value::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("schema `{s}` != expected `{SCHEMA}`")),
-        None => return Err("missing `schema` tag".into()),
-    }
-    let entries = root
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("missing `entries` array")?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, v)| McheckBenchEntry::from_value(v, i))
-        .collect()
-}
-
-/// Loads a trajectory file; a missing file is an empty trajectory.
-pub fn load(path: &Path) -> Result<Vec<McheckBenchEntry>, String> {
-    match fs::read_to_string(path) {
-        Ok(text) => parse_trajectory(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
-}
-
-/// Merges fresh measurements into an existing trajectory with the same
-/// replace-in-place / append semantics as the kernel trajectory.
-pub fn merge(
-    mut existing: Vec<McheckBenchEntry>,
-    fresh: Vec<McheckBenchEntry>,
-) -> Vec<McheckBenchEntry> {
-    for entry in fresh {
-        match existing.iter_mut().find(|e| e.key() == entry.key()) {
-            Some(slot) => *slot = entry,
-            None => existing.push(entry),
+    /// Runs the speedup gate on every recorded run label.
+    fn gate(entries: &[McheckBenchEntry]) -> Result<String, String> {
+        let mut runs: Vec<&str> = entries.iter().map(|e| e.run.as_str()).collect();
+        runs.sort_unstable();
+        runs.dedup();
+        let mut report = String::new();
+        for run in runs {
+            report.push_str(&check_speedup(entries, run)?);
         }
+        Ok(report)
     }
-    existing
-}
-
-/// Renders a trajectory: valid JSON, one entry per line.
-pub fn render(entries: &[McheckBenchEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "\"schema\": {},", Value::Str(SCHEMA.into()));
-    out.push_str("\"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(out, "{}{sep}", e.to_value());
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Loads, merges, and writes back the trajectory at `path`.
-pub fn append(path: &Path, fresh: Vec<McheckBenchEntry>) -> Result<Vec<McheckBenchEntry>, String> {
-    let merged = merge(load(path)?, fresh);
-    fs::write(path, render(&merged)).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(merged)
 }
 
 /// The speedup gate for one run: for every config measured both
@@ -351,27 +284,10 @@ pub fn check_speedup(entries: &[McheckBenchEntry], run: &str) -> Result<String, 
     Ok(report)
 }
 
-/// CI entry point: schema-validate `path` and run the speedup gate on
-/// every recorded run label.
-pub fn validate_file(path: &Path) -> Result<String, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = parse_trajectory(&text)?;
-    if entries.is_empty() {
-        return Err("trajectory is empty".into());
-    }
-    let mut runs: Vec<&str> = entries.iter().map(|e| e.run.as_str()).collect();
-    runs.sort_unstable();
-    runs.dedup();
-    let mut report = format!("{}: {} entries, schema ok\n", path.display(), entries.len());
-    for run in runs {
-        report.push_str(&check_speedup(&entries, run)?);
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::{merge, parse, render};
 
     fn entry(
         config: &str,
@@ -401,18 +317,18 @@ mod tests {
             entry("small/SafetyOnly", "seq", 5e4, 1, 1),
             entry("small/SafetyOnly", "par/w4+sym+por", 1.2e5, 4, 8).with_phases(0.75, 0.25),
         ];
-        let parsed = parse_trajectory(&render(&entries)).unwrap();
+        let parsed = parse::<McheckBenchEntry>(&render(&entries)).unwrap();
         assert_eq!(parsed, entries);
     }
 
     #[test]
     fn phase_fields_are_optional_but_validated() {
         let old = r#"{"schema":"tokencmp-mcheck-bench-v1","entries":[{"run":"dev","config":"c","bench":"par/w2","states":1,"transitions":1,"elapsed_ns":1,"states_per_sec":1.0,"workers":2,"host_cores":1}]}"#;
-        let parsed = parse_trajectory(old).unwrap();
+        let parsed = parse::<McheckBenchEntry>(old).unwrap();
         assert_eq!(parsed[0].expand_seconds, None);
         assert_eq!(parsed[0].merge_seconds, None);
         let bad = old.replace(r#""workers":2"#, r#""workers":2,"merge_seconds":-1.0"#);
-        let err = parse_trajectory(&bad).unwrap_err();
+        let err = parse::<McheckBenchEntry>(&bad).unwrap_err();
         assert!(err.contains("merge_seconds"), "{err}");
     }
 
@@ -430,17 +346,58 @@ mod tests {
                 "bench",
             ),
         ] {
-            let err = parse_trajectory(text).unwrap_err();
+            let err = parse::<McheckBenchEntry>(text).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
         let mut bogus = entry("c", "seq", 1e5, 1, 1);
         bogus.bench = "parallel".into();
-        let err = parse_trajectory(&render(&[bogus])).unwrap_err();
+        let err = parse::<McheckBenchEntry>(&render(&[bogus])).unwrap_err();
         assert!(err.contains("parallel"), "{err}");
         let mut zero = entry("c", "seq", 1e5, 1, 1);
         zero.workers = 0;
-        let err = parse_trajectory(&render(&[zero])).unwrap_err();
+        let err = parse::<McheckBenchEntry>(&render(&[zero])).unwrap_err();
         assert!(err.contains("workers"), "{err}");
+    }
+
+    fn rejection(bench: &str, workers: u64) -> String {
+        let hostile = entry("c", bench, 1e5, workers, 1);
+        parse::<McheckBenchEntry>(&render(&[hostile])).unwrap_err()
+    }
+
+    #[test]
+    fn a_par_bench_without_a_worker_count_is_rejected() {
+        let err = rejection("par/wfoo", 4);
+        assert!(
+            err.contains("par/wfoo") && err.contains("worker count"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_par_bench_must_name_its_worker_count() {
+        let err = rejection("par/w4", 2);
+        assert!(
+            err.contains("par/w4") && err.contains("`workers` is 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_seq_bench_has_one_worker() {
+        let err = rejection("seq", 2);
+        assert!(
+            err.contains("seq") && err.contains("implies 1 workers"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_par_bench_with_unknown_reductions_is_rejected() {
+        let err = rejection("par/w4+fast", 4);
+        assert!(
+            err.contains("par/w4+fast") && err.contains("reductions"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The scale-out trajectory (`BENCH_scale.json`).
 //!
-//! Like `BENCH_kernel.json` (see [`crate::kernel`]), this is a
-//! *committed* trajectory file at the repository root: each entry
+//! Like `BENCH_kernel.json` (see [`crate::kernel`]), this trajectory is
+//! stored and validated through [`crate::trajectory`]: each entry
 //! records one full protocol run at a `(fabric, cmps, cores_per_cmp)`
 //! point of the scale-out grid — simulated runtime, events processed,
 //! and host events/sec — so the cost of growing the system from the
@@ -28,15 +28,11 @@
 //! multi-hop fabric actually carries a 64-CMP × 16-core workload.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tokencmp::sweep::json::{parse, Value};
+use tokencmp::sweep::json::Value;
 
-/// Schema tag every trajectory file must carry.
-pub const SCHEMA: &str = "tokencmp-scale-bench-v1";
+use crate::trajectory::{Fields, Record};
 
 /// Fabric names a trajectory entry may carry ([`tokencmp::Fabric`]
 /// `name()` values).
@@ -98,10 +94,15 @@ impl ScaleBenchEntry {
             ns_per_event: ns as f64 / events as f64,
         }
     }
+}
 
-    /// The replacement key: re-running a grid point overwrites its cell.
-    fn key(&self) -> (&str, &str, u64, u64) {
+impl Record for ScaleBenchEntry {
+    const SCHEMA: &'static str = "tokencmp-scale-bench-v1";
+    const FILE: &'static str = "BENCH_scale.json";
+
+    fn same_cell(&self, o: &Self) -> bool {
         (&self.run, &self.fabric, self.cmps, self.cores_per_cmp)
+            == (&o.run, &o.fabric, o.cmps, o.cores_per_cmp)
     }
 
     fn to_value(&self) -> Value {
@@ -119,132 +120,39 @@ impl ScaleBenchEntry {
         ]))
     }
 
-    fn from_value(v: &Value, idx: usize) -> Result<ScaleBenchEntry, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not a string"))
-        };
-        let int_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not an integer"))
-        };
-        let rate_field = |k: &str| {
-            let x = v
-                .get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not a number"))?;
-            if x.is_finite() && x > 0.0 {
-                Ok(x)
-            } else {
-                Err(format!("entry {idx}: `{k}` = {x} is not a positive rate"))
-            }
-        };
-        let fabric = str_field("fabric")?;
+    fn from_value(f: &Fields) -> Result<ScaleBenchEntry, String> {
+        let fabric = f.str("fabric")?;
         if !FABRICS.contains(&fabric.as_str()) {
-            return Err(format!("entry {idx}: unknown fabric `{fabric}`"));
+            return Err(f.error(format_args!("unknown fabric `{fabric}`")));
         }
         let entry = ScaleBenchEntry {
-            run: str_field("run")?,
+            run: f.str("run")?,
             fabric,
-            cmps: int_field("cmps")?,
-            cores_per_cmp: int_field("cores_per_cmp")?,
-            cores: int_field("cores")?,
-            events: int_field("events")?,
-            runtime_ps: int_field("runtime_ps")?,
-            elapsed_ns: int_field("elapsed_ns")?,
-            events_per_sec: rate_field("events_per_sec")?,
-            ns_per_event: rate_field("ns_per_event")?,
+            cmps: f.int("cmps")?,
+            cores_per_cmp: f.int("cores_per_cmp")?,
+            cores: f.int("cores")?,
+            events: f.int("events")?,
+            runtime_ps: f.int("runtime_ps")?,
+            elapsed_ns: f.int("elapsed_ns")?,
+            events_per_sec: f.rate("events_per_sec")?,
+            ns_per_event: f.rate("ns_per_event")?,
         };
-        if entry.cores != entry.cmps * entry.cores_per_cmp {
-            return Err(format!(
-                "entry {idx}: cores ({}) != cmps ({}) × cores_per_cmp ({})",
+        if entry.cmps.checked_mul(entry.cores_per_cmp) != Some(entry.cores) {
+            return Err(f.error(format_args!(
+                "cores ({}) != cmps ({}) × cores_per_cmp ({})",
                 entry.cores, entry.cmps, entry.cores_per_cmp
-            ));
+            )));
         }
         if entry.runtime_ps == 0 || entry.events == 0 {
-            return Err(format!(
-                "entry {idx}: a completed run has nonzero events and runtime"
-            ));
+            return Err(f.error("a completed run has nonzero events and runtime"));
         }
         Ok(entry)
     }
-}
 
-/// The committed trajectory file: `<repo root>/BENCH_scale.json`.
-pub fn trajectory_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels under the repo root")
-        .join("BENCH_scale.json")
-}
-
-/// Parses and schema-validates a trajectory file's text.
-pub fn parse_trajectory(text: &str) -> Result<Vec<ScaleBenchEntry>, String> {
-    let root = parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    match root.get("schema").and_then(Value::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("schema `{s}` != expected `{SCHEMA}`")),
-        None => return Err("missing `schema` tag".into()),
+    /// Applies [`check_gate`].
+    fn gate(entries: &[ScaleBenchEntry]) -> Result<String, String> {
+        Ok(check_gate(entries)? + "\n")
     }
-    let entries = root
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("missing `entries` array")?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, v)| ScaleBenchEntry::from_value(v, i))
-        .collect()
-}
-
-/// Loads a trajectory file; a missing file is an empty trajectory.
-pub fn load(path: &Path) -> Result<Vec<ScaleBenchEntry>, String> {
-    match fs::read_to_string(path) {
-        Ok(text) => parse_trajectory(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
-}
-
-/// Merges fresh measurements into an existing trajectory: same-key
-/// entries replace in place, new keys append in measurement order.
-pub fn merge(
-    mut existing: Vec<ScaleBenchEntry>,
-    fresh: Vec<ScaleBenchEntry>,
-) -> Vec<ScaleBenchEntry> {
-    for entry in fresh {
-        match existing.iter_mut().find(|e| e.key() == entry.key()) {
-            Some(slot) => *slot = entry,
-            None => existing.push(entry),
-        }
-    }
-    existing
-}
-
-/// Renders a trajectory: valid JSON, one entry per line so appending a
-/// run produces a line-per-record diff.
-pub fn render(entries: &[ScaleBenchEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "\"schema\": {},", Value::Str(SCHEMA.into()));
-    out.push_str("\"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(out, "{}{sep}", e.to_value());
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Loads, merges, and writes back the trajectory at `path`.
-pub fn append(path: &Path, fresh: Vec<ScaleBenchEntry>) -> Result<Vec<ScaleBenchEntry>, String> {
-    let merged = merge(load(path)?, fresh);
-    fs::write(path, render(&merged)).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(merged)
 }
 
 /// The scale-out gate: the trajectory must contain at least one
@@ -270,21 +178,10 @@ pub fn check_gate(entries: &[ScaleBenchEntry]) -> Result<String, String> {
     ))
 }
 
-/// CI entry point: schema-validate `path` and apply the scale-out gate.
-pub fn validate_file(path: &Path) -> Result<String, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = parse_trajectory(&text)?;
-    if entries.is_empty() {
-        return Err("trajectory is empty".into());
-    }
-    let mut report = format!("{}: {} entries, schema ok\n", path.display(), entries.len());
-    let _ = writeln!(report, "{}", check_gate(&entries)?);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::{merge, parse, render};
 
     fn entry(run: &str, fabric: &str, cmps: u64, cpc: u64) -> ScaleBenchEntry {
         ScaleBenchEntry::measured(
@@ -305,7 +202,7 @@ mod tests {
             entry("pr10", "mesh", 64, 16),
             entry("pr10", "ring", 16, 4),
         ];
-        let parsed = parse_trajectory(&render(&entries)).unwrap();
+        let parsed = parse::<ScaleBenchEntry>(&render(&entries)).unwrap();
         assert_eq!(parsed, entries);
     }
 
@@ -320,23 +217,34 @@ mod tests {
                 "fabric",
             ),
         ] {
-            let err = parse_trajectory(text).unwrap_err();
+            let err = parse::<ScaleBenchEntry>(text).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
         // Unknown fabrics, inconsistent core products, and empty runs
         // are schema errors too.
         let mut bogus = entry("a", "mesh", 8, 2);
         bogus.fabric = "torus".into();
-        let err = parse_trajectory(&render(&[bogus])).unwrap_err();
+        let err = parse::<ScaleBenchEntry>(&render(&[bogus])).unwrap_err();
         assert!(err.contains("torus"), "{err}");
         let mut skewed = entry("a", "mesh", 8, 2);
         skewed.cores = 17;
-        let err = parse_trajectory(&render(&[skewed])).unwrap_err();
+        let err = parse::<ScaleBenchEntry>(&render(&[skewed])).unwrap_err();
         assert!(err.contains("cores"), "{err}");
         let mut hollow = entry("a", "mesh", 8, 2);
         hollow.events = 0;
-        let err = parse_trajectory(&render(&[hollow])).unwrap_err();
+        let err = parse::<ScaleBenchEntry>(&render(&[hollow])).unwrap_err();
         assert!(err.contains("completed"), "{err}");
+    }
+
+    #[test]
+    fn an_overflowing_core_product_is_rejected() {
+        // 2^63 + 1 chips × 2 cores wraps to 2: a wrapping multiply
+        // would accept `cores = 2`.
+        let mut hostile = entry("a", "mesh", 8, 2);
+        hostile.cmps = (1 << 63) + 1;
+        hostile.cores = hostile.cmps.wrapping_mul(2);
+        let err = parse::<ScaleBenchEntry>(&render(&[hostile])).unwrap_err();
+        assert!(err.contains("cores_per_cmp"), "{err}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! counts.
 
 use crate::checker::{ActionMeta, Model};
-use crate::explore::permutations;
+use crate::explore::non_identity_permutations;
 use crate::token_model::PKind;
 
 /// Cache line states (MOESI; absent `I` data is meaningless).
@@ -823,8 +823,8 @@ impl Model for DirModel {
         // The original stays the candidate until a permutation beats
         // it; the original itself is never cloned.
         let mut best: Option<DState> = None;
-        for perm in permutations(self.p.caches).into_iter().skip(1) {
-            let t = self.permute(&s, &perm);
+        for perm in non_identity_permutations(self.p.caches) {
+            let t = self.permute(&s, perm);
             if t < *best.as_ref().unwrap_or(&s) {
                 best = Some(t);
             }

@@ -45,6 +45,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use tokencmp_pool::{default_threads, par_map_threads};
@@ -181,6 +182,18 @@ pub fn permutations(n: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     rec(&mut (0..n).collect(), &mut Vec::new(), &mut out);
     out
+}
+
+/// The non-identity permutations of `0..n`, in [`permutations`] order:
+/// the relabellings a symmetry canonicalization tries. Built once per
+/// `n` per process and shared, so canonicalizing a state allocates no
+/// permutation list. The models' footprint masks cap `n` below 16.
+pub(crate) fn non_identity_permutations(n: usize) -> &'static [Vec<usize>] {
+    static TABLE: [OnceLock<Vec<Vec<usize>>>; 16] = [const { OnceLock::new() }; 16];
+    TABLE
+        .get(n)
+        .unwrap_or_else(|| panic!("symmetry over {n} caches: at most 15 are supported"))
+        .get_or_init(|| permutations(n).split_off(1))
 }
 
 const SHARDS: usize = 16;
@@ -735,6 +748,15 @@ mod tests {
         }
         fn is_quiescent(&self, s: &u8) -> bool {
             *s == 0
+        }
+    }
+
+    #[test]
+    fn non_identity_permutations_are_built_once_in_order() {
+        for n in 1..=4 {
+            let shared = non_identity_permutations(n);
+            assert_eq!(shared, &permutations(n)[1..], "n = {n}");
+            assert!(std::ptr::eq(shared, non_identity_permutations(n)));
         }
     }
 

@@ -26,7 +26,7 @@
 //! domain exact).
 
 use crate::checker::{ActionMeta, Model};
-use crate::explore::permutations;
+use crate::explore::non_identity_permutations;
 
 /// Which starvation-avoidance mechanism the model includes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -991,8 +991,8 @@ impl Model for TokenModel {
         // The original stays the candidate until a permutation beats
         // it; the original itself is never cloned.
         let mut best: Option<TState> = None;
-        for perm in permutations(self.p.caches).into_iter().skip(1) {
-            let t = self.permute(&s, &perm);
+        for perm in non_identity_permutations(self.p.caches) {
+            let t = self.permute(&s, perm);
             if t < *best.as_ref().unwrap_or(&s) {
                 best = Some(t);
             }
